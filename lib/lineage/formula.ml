@@ -206,14 +206,13 @@ let rec map_vars g = function
   | And fs -> conj (List.map (map_vars g) fs)
   | Or fs -> disj (List.map (map_vars g) fs)
 
-let to_string f =
-  let buf = Buffer.create 64 in
+let add_to_buffer buf f =
   (* prec: Or = 1, And = 2, Not = 3, atom = 4 *)
   let rec go prec f =
     match f with
-    | True -> Buffer.add_string buf "T"
-    | False -> Buffer.add_string buf "F"
-    | Var v -> Buffer.add_string buf (Tid.to_string v)
+    | True -> Buffer.add_char buf 'T'
+    | False -> Buffer.add_char buf 'F'
+    | Var v -> Tid.add_to_buffer buf v
     | Not g ->
       Buffer.add_char buf '!';
       go 3 g
@@ -229,7 +228,11 @@ let to_string f =
       fs;
     if need then Buffer.add_char buf ')'
   in
-  go 0 f;
+  go 0 f
+
+let to_string f =
+  let buf = Buffer.create 64 in
+  add_to_buffer buf f;
   Buffer.contents buf
 
 let pp ppf f = Format.pp_print_string ppf (to_string f)

@@ -79,6 +79,9 @@ val map_vars : (Tid.t -> Tid.t) -> t -> t
 val to_string : t -> string
 (** Human-readable infix form, e.g. ["(Proposal#2 | Proposal#3) & Info#1"]. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the {!to_string} form. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Table : Hashtbl.S with type key = t

@@ -19,6 +19,14 @@ val hash : t -> int
 val to_string : t -> string
 (** Prints as ["rel#row"], e.g. ["Proposal#2"]. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the {!to_string} form. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** Appends [string_of_int n] without building the string or parsing a
+    format; shared by the per-row text writers ({!add_to_buffer},
+    [Relational.Tuple.add_to_buffer]). *)
+
 val of_string : string -> t option
 (** Parses the {!to_string} form. *)
 

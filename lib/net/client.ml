@@ -22,6 +22,7 @@ type t = {
   config : config;
   rng : Prng.Splitmix.t;
   mutable sock : Unix.file_descr option;
+  buf : Frame.buf;  (* each request is built, and its response read, here *)
   mutable consecutive_failures : int;
   mutable open_until_ms : float;  (* breaker: fail fast before this time *)
   mutable retries_used : int;
@@ -51,6 +52,7 @@ let create ?(config = default_config) ?(seed = 0) addr =
     config;
     rng = Prng.Splitmix.of_int seed;
     sock = None;
+    buf = Frame.create ();
     consecutive_failures = 0;
     open_until_ms = neg_infinity;
     retries_used = 0;
@@ -100,41 +102,34 @@ let connect t =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise (Transport ("connect: " ^ Unix.error_message e)))
 
-let really_write fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let sent = ref 0 in
-  (try
-     while !sent < len do
-       let n = Unix.write fd b !sent (len - !sent) in
-       sent := !sent + n
-     done
-   with
-  | Unix.Unix_error (EINTR, _, _) -> ()
-  | Unix.Unix_error (e, _, _) -> raise (Transport ("write: " ^ Unix.error_message e)));
-  if !sent < len then raise (Transport "write: short")
-
 exception Response_timeout
 
+let send fd buf =
+  try Io.send fd (Frame.bytes buf) (Frame.length buf)
+  with Unix.Unix_error (e, _, _) -> raise (Transport ("write: " ^ Unix.error_message e))
+
 let recv fd buf off len =
-  try Unix.read fd buf off len with
+  try Io.recv fd buf off len with
   | Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> raise Response_timeout
-  | Unix.Unix_error (EINTR, _, _) -> 0
   | Unix.Unix_error (e, _, _) -> raise (Transport ("read: " ^ Unix.error_message e))
 
-(* One attempt: send the frame, wait for the single response frame. *)
+(* One attempt: send the frame, wait for the single response frame.  Both
+   live in [t.buf]; the decoded response copies out what it keeps. *)
 let attempt t req =
   let fd = connect t in
-  let typ, payload = Wire.encode_request req in
-  really_write fd (Frame.encode ~typ payload);
-  match Frame.read (recv fd) with
-  | Error Frame.Closed | Error (Frame.Torn _) ->
-    raise (Transport "connection severed awaiting response")
-  | Error e -> raise (Transport (Frame.error_to_string e))
-  | Ok (typ, payload) -> (
-    match Wire.decode_response ~typ payload with
-    | Error msg -> raise (Transport ("bad response: " ^ msg))
-    | Ok resp -> resp)
+  Fun.protect
+    ~finally:(fun () -> Frame.shrink t.buf)
+    (fun () ->
+      Wire.write_request t.buf req;
+      send fd t.buf;
+      match Frame.read_into t.buf (recv fd) with
+      | Error Frame.Closed | Error (Frame.Torn _) ->
+        raise (Transport "connection severed awaiting response")
+      | Error e -> raise (Transport (Frame.error_to_string e))
+      | Ok typ -> (
+        match Wire.response_of_frame ~typ t.buf with
+        | Error msg -> raise (Transport ("bad response: " ^ msg))
+        | Ok resp -> resp))
 
 let record_failure t =
   close t;

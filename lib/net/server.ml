@@ -144,21 +144,6 @@ let release t =
 
 (* --- socket I/O ---------------------------------------------------- *)
 
-let really_write fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let sent = ref 0 in
-  while !sent < len do
-    let n = try Unix.write fd b !sent (len - !sent) with Unix.Unix_error (EINTR, _, _) -> 0 in
-    if n = 0 && !sent < len then
-      (* only EINTR yields 0 here; a dead peer raises EPIPE instead *)
-      ()
-    else sent := !sent + n
-  done
-
-let rec recv_blocking fd buf off len =
-  try Unix.read fd buf off len with Unix.Unix_error (EINTR, _, _) -> recv_blocking fd buf off len
-
 (* Wait until the connection has bytes (start of a frame) or the server
    is stopping.  Between frames we poll so [stop] is prompt; once a
    frame starts, reads block — [stop] shuts the socket down, which
@@ -173,20 +158,26 @@ let rec wait_readable t fd =
 
 (* --- responses ----------------------------------------------------- *)
 
-let send_response t fd resp =
+(* A connection: its socket and the one frame buffer its thread reads
+   every request into and builds every response in. *)
+type conn = { fd : Unix.file_descr; buf : Frame.buf }
+
+(* [write] builds the whole response frame in the connection's buffer;
+   it is sent from there. *)
+let send t conn write =
   (match Fault.hit Fault.site_net_write with
   | () -> ()
   | exception Fault.Injected _ ->
     count t "net.fault.write";
     raise Severed);
-  let typ, payload = Wire.encode_response resp in
-  match really_write fd (Frame.encode ~typ payload) with
+  write conn.buf;
+  match Io.send conn.fd (Frame.bytes conn.buf) (Frame.length conn.buf) with
   | () -> ()
   | exception Unix.Unix_error _ -> raise Severed
 
-let terminal t fd resp counter =
+let terminal t conn resp counter =
   count t counter;
-  send_response t fd resp
+  send t conn (fun b -> Wire.write_response b resp)
 
 (* --- request execution --------------------------------------------- *)
 
@@ -210,7 +201,7 @@ let with_slot slot f =
   Mutex.lock slot.sm;
   Fun.protect ~finally:(fun () -> Mutex.unlock slot.sm) f
 
-let run_query t fd ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms =
+let run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms =
   let eff_deadline =
     match deadline_ms with
     | Some d -> Some d
@@ -219,7 +210,7 @@ let run_query t fd ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms =
   let remaining = Option.map (fun d -> d -. queued_ms) eff_deadline in
   match remaining with
   | Some r when r <= 0.0 ->
-    terminal t fd
+    terminal t conn
       (Wire.Timeout { reason = "deadline expired in admission queue" })
       "net.timeouts"
   | _ -> (
@@ -259,18 +250,22 @@ let run_query t fd ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms =
                   tok)
                 resp.Pcqe.Engine.proposal
             in
-            Ok (Wire.answer_of_response ?proposal_token:token resp)
+            Ok (token, resp)
           | Error msg -> Error msg
           | exception Fault.Injected what -> Error ("fault injected: " ^ what)
           | exception exn -> Error ("internal: " ^ Printexc.to_string exn))
     in
     match outcome with
-    | Ok a -> terminal t fd (Wire.Answer a) "net.answers"
-    | Error msg -> terminal t fd (Wire.Err msg) "net.errors")
+    | Ok (proposal_token, resp) ->
+      (* the engine response is immutable: encode it after releasing the
+         session, straight into the connection's buffer *)
+      count t "net.answers";
+      send t conn (fun b -> Wire.write_answer b ?proposal_token resp)
+    | Error msg -> terminal t conn (Wire.Err msg) "net.errors")
 
-let run_accept t fd ~user ~token =
+let run_accept t conn ~user ~token =
   match locked t (fun () -> Hashtbl.find_opt t.sessions user) with
-  | None -> terminal t fd (Wire.Err "unknown or expired proposal token") "net.errors"
+  | None -> terminal t conn (Wire.Err "unknown or expired proposal token") "net.errors"
   | Some slot -> (
     let outcome =
       with_slot slot (fun () ->
@@ -300,21 +295,21 @@ let run_accept t fd ~user ~token =
           | _ -> Error "unknown or expired proposal token")
     in
     match outcome with
-    | Ok resp -> terminal t fd resp "net.accepted"
-    | Error msg -> terminal t fd (Wire.Err msg) "net.errors")
+    | Ok resp -> terminal t conn resp "net.accepted"
+    | Error msg -> terminal t conn (Wire.Err msg) "net.errors")
 
-let handle_request t fd ~typ ~payload =
-  match Wire.decode_request ~typ payload with
+let handle_request t conn ~typ =
+  match Wire.request_of_frame ~typ conn.buf with
   | Error msg ->
     count t "net.malformed";
-    terminal t fd (Wire.Err ("malformed request: " ^ msg)) "net.errors"
-  | Ok Wire.Ping -> terminal t fd Wire.Pong "net.pings"
+    terminal t conn (Wire.Err ("malformed request: " ^ msg)) "net.errors"
+  | Ok Wire.Ping -> terminal t conn Wire.Pong "net.pings"
   | Ok req -> (
     let t0 = now_ms () in
     match admit t with
-    | Stopping -> terminal t fd (Wire.Err "server stopping") "net.errors"
+    | Stopping -> terminal t conn (Wire.Err "server stopping") "net.errors"
     | Shed ->
-      terminal t fd
+      terminal t conn
         (Wire.Overloaded { retry_after_ms = t.config.retry_after_ms })
         "net.shed"
     | Admitted ->
@@ -332,13 +327,14 @@ let handle_request t fd ~typ ~payload =
           let queued_ms = now_ms () -. t0 in
           match req with
           | Wire.Query { user; purpose; perc; sql; deadline_ms } ->
-            run_query t fd ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms
-          | Wire.Accept { user; token } -> run_accept t fd ~user ~token
+            run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms
+          | Wire.Accept { user; token } -> run_accept t conn ~user ~token
           | Wire.Ping -> assert false))
 
 (* --- connection loop ----------------------------------------------- *)
 
 let serve_conn t fd =
+  let conn = { fd; buf = Frame.create () } in
   let rec loop () =
     match wait_readable t fd with
     | `Stopped -> ()
@@ -348,18 +344,22 @@ let serve_conn t fd =
       | exception Fault.Injected _ ->
         count t "net.fault.read";
         raise Severed);
-      match Frame.read (recv_blocking fd) with
+      match Frame.read_into conn.buf (Io.recv fd) with
       | Error Frame.Closed -> ()
       | Error e ->
         (* torn or malformed framing: sync is lost, so reject the frame,
            tell the peer (best effort) and drop only this connection *)
         count t "net.malformed";
-        (try send_response t fd (Wire.Err (Frame.error_to_string e))
+        (try
+           send t conn (fun b ->
+               Wire.write_response b (Wire.Err (Frame.error_to_string e)))
          with Severed -> ());
         ()
-      | Ok (typ, payload) ->
+      | Ok typ ->
         count t "net.requests";
-        handle_request t fd ~typ ~payload;
+        handle_request t conn ~typ;
+        (* the request was decoded and answered: its bytes are spent *)
+        Frame.shrink conn.buf;
         loop ())
   in
   (try loop () with

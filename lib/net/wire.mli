@@ -51,6 +51,25 @@ type response =
           before any work was attempted *)
   | Err of string  (** semantic error (RBAC denial, bad SQL, bad token) *)
 
+(** {1 Writing and reading frames in place}
+
+    The serving path: each message is written straight into a
+    {!Frame.buf} as a complete frame, and read from the payload of the
+    frame {!Frame.read_into} left there. *)
+
+val write_request : Frame.buf -> request -> unit
+val write_response : Frame.buf -> response -> unit
+
+val write_answer :
+  Frame.buf -> ?proposal_token:int -> Pcqe.Engine.response -> unit
+(** The frame of [Answer (answer_of_response ?proposal_token r)], byte for
+    byte, with the body built in place instead of as a separate string. *)
+
+val request_of_frame : typ:int -> Frame.buf -> (request, string) result
+val response_of_frame : typ:int -> Frame.buf -> (response, string) result
+
+(** {1 String wrappers} *)
+
 val encode_request : request -> int * string
 (** [(frame type, payload)]. *)
 

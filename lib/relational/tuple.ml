@@ -32,7 +32,20 @@ let equal a b = compare a b = 0
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t
 
+let add_to_buffer b t =
+  Buffer.add_char b '(';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_string b ", ";
+      match v with
+      | Value.Int n -> Lineage.Tid.add_decimal b n (* = Value.to_string *)
+      | v -> Buffer.add_string b (Value.to_string v))
+    t;
+  Buffer.add_char b ')'
+
 let to_string t =
-  "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string t)) ^ ")"
+  let b = Buffer.create (8 * Array.length t) in
+  add_to_buffer b t;
+  Buffer.contents b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

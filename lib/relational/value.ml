@@ -105,10 +105,13 @@ let bool3_of_bool b = if b then True3 else False3
 
 let is_true = function True3 -> true | _ -> false
 
+(* the C formatter Printf calls for "%.1f" and "%g": the same bytes,
+   without interpreting a format string per value *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e16 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%g" f
+  if Float.is_integer f && Float.abs f < 1e16 then format_float "%.1f" f
+  else format_float "%.6g" f
 
 let to_string = function
   | Null -> "NULL"

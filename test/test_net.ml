@@ -71,6 +71,128 @@ let test_frame_rejects_malformed () =
   | Error (Net.Frame.Too_large _) -> ()
   | _ -> Alcotest.fail "oversized length not rejected"
 
+(* the table-free definition of CRC-32: one polynomial step per bit *)
+let crc32_bitwise s off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_frame_crc32_sliced () =
+  let rng = Random.State.make [| 2009 |] in
+  let check_range s off len =
+    Alcotest.(check int)
+      (Printf.sprintf "crc32 over %d bytes at offset %d" len off)
+      (crc32_bitwise s off len)
+      (Net.Frame.crc32_range s off len)
+  in
+  let random_string n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  (* every tail length next to a slice boundary, at every alignment *)
+  let s = random_string 64 in
+  for off = 0 to 7 do
+    for len = 0 to 24 do
+      check_range s off len
+    done
+  done;
+  for _ = 1 to 200 do
+    let len = Random.State.int rng 4100 in
+    let off = Random.State.int rng 16 in
+    let s = random_string (off + len + Random.State.int rng 16) in
+    check_range s off len
+  done;
+  Alcotest.(check int32)
+    "crc32 agrees with crc32_range" 0xCBF43926l
+    (Int32.of_int (Net.Frame.crc32_range "0123456789" 1 9))
+
+let test_frame_any_flip_is_caught () =
+  let rng = Random.State.make [| 12 |] in
+  let payload = String.init 300 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let whole = Net.Frame.encode ~typ:10 payload in
+  for i = Net.Frame.header_len to String.length whole - 1 do
+    let flipped = Bytes.of_string whole in
+    let delta = 1 + Random.State.int rng 255 in
+    Bytes.set flipped i (Char.chr (Char.code whole.[i] lxor delta));
+    match Net.Frame.decode (Bytes.to_string flipped) with
+    | Error Net.Frame.Bad_checksum -> ()
+    | _ -> Alcotest.failf "flipped payload byte %d not caught" i
+  done
+
+(* a recv that hands over at most one byte per call *)
+let dribble s =
+  let pos = ref 0 in
+  fun buf off len ->
+    if len = 0 || !pos >= String.length s then 0
+    else begin
+      Bytes.set buf off s.[!pos];
+      incr pos;
+      1
+    end
+
+let test_frame_one_byte_reads () =
+  let payload = String.init 5000 (fun i -> Char.chr ((i * 7) mod 256)) in
+  (match Net.Frame.read (dribble (Net.Frame.encode ~typ:11 payload)) with
+  | Ok (typ, p) ->
+    Alcotest.(check int) "type" 11 typ;
+    Alcotest.(check bool) "payload intact" true (String.equal payload p)
+  | Error e -> Alcotest.failf "one-byte reads: %s" (Net.Frame.error_to_string e));
+  (* the same through a reused buffer, decoded where it lies *)
+  let b = Net.Frame.create ~capacity:16 () in
+  let resp = Net.Wire.Err "x" in
+  let typ, p = Net.Wire.encode_response resp in
+  match Net.Frame.read_into b (dribble (Net.Frame.encode ~typ p)) with
+  | Ok typ ->
+    if Net.Wire.response_of_frame ~typ b <> Ok resp then
+      Alcotest.fail "response decoded from the buffer differs"
+  | Error e -> Alcotest.failf "one-byte reads: %s" (Net.Frame.error_to_string e)
+
+let test_frame_buffer_shrinks () =
+  let b = Net.Frame.create () in
+  let small = Net.Frame.capacity b in
+  Net.Frame.start b;
+  Net.Frame.add_string b (String.make 20_000 'x');
+  Net.Frame.finish b ~typ:1;
+  let grown = Net.Frame.capacity b in
+  Net.Frame.shrink b;
+  Alcotest.(check int) "a usual frame keeps its storage" grown (Net.Frame.capacity b);
+  Net.Frame.start b;
+  Net.Frame.add_string b (String.make (2 * 1024 * 1024) 'x');
+  Net.Frame.finish b ~typ:1;
+  Net.Frame.shrink b;
+  Alcotest.(check int) "an outsized frame's storage is dropped" small (Net.Frame.capacity b)
+
+let eintr () = raise (Unix.Unix_error (Unix.EINTR, "read", ""))
+
+let test_io_retries_eintr () =
+  let calls = ref 0 in
+  let v =
+    Net.Io.retry_eintr (fun () ->
+        incr calls;
+        if !calls = 1 then eintr () else 42)
+  in
+  Alcotest.(check int) "value after one EINTR" 42 v;
+  Alcotest.(check int) "called again once" 2 !calls;
+  (match Net.Io.retry_eintr (fun () -> raise (Unix.Unix_error (Unix.EPIPE, "write", ""))) with
+  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ()
+  | _ -> Alcotest.fail "EPIPE was swallowed");
+  (* a signal during a read is not end of stream *)
+  let rest = dribble (Net.Frame.encode ~typ:12 "pong") in
+  let interrupted = ref false in
+  let recv buf off len =
+    if not !interrupted then begin
+      interrupted := true;
+      eintr ()
+    end
+    else rest buf off len
+  in
+  match Net.Frame.read (fun buf off len -> Net.Io.retry_eintr (fun () -> recv buf off len)) with
+  | Ok (12, "pong") -> ()
+  | Ok _ -> Alcotest.fail "wrong frame after EINTR"
+  | Error e -> Alcotest.failf "EINTR surfaced as %s" (Net.Frame.error_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* message codec *)
 
@@ -132,6 +254,181 @@ let test_wire_rejects_truncated () =
   match Net.Wire.decode_request ~typ (payload ^ "junk") with
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
   | Error _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* golden frames: the exact bytes of a fixed set of messages.  The
+   digests were recorded from the encoder before the one-copy wire path
+   landed; any change to the wire format or the canonical body shows up
+   here as a digest mismatch.  Run this after every change to lib/net. *)
+
+let golden_response ~proposal ~degraded ~released : E.response =
+  let open Relational in
+  let tid rel row = Lineage.Tid.make rel row in
+  let v rel row = Lineage.Formula.Var (tid rel row) in
+  let row tuple lineage confidence conf_tier =
+    { E.tuple = Tuple.of_list tuple; lineage; confidence; conf_tier }
+  in
+  {
+    E.schema =
+      Schema.of_list
+        [
+          ("R.k", V.TInt);
+          ("R.name", V.TString);
+          ("R.flag", V.TBool);
+          ("R.score", V.TFloat);
+          ("S.note", V.TString);
+        ];
+    released =
+      (if not released then []
+       else
+         [
+           row
+             [ V.Int (-42); V.String "caf\xc3\xa9, \"x\""; V.Bool true; V.Float 2.0; V.Null ]
+             (Lineage.Formula.Or
+                [
+                  Lineage.Formula.And [ v "R" 1; Lineage.Formula.Not (v "S" 2) ];
+                  Lineage.Formula.Not
+                    (Lineage.Formula.Or [ v "R" 3; Lineage.Formula.And [ v "S" 4; v "T" 5 ] ]);
+                ])
+             (0.1 +. 0.2) "circuit";
+           row
+             [ V.Int 0; V.String ""; V.Bool false; V.Float 0.1; V.String "note" ]
+             (v "R" 123456789) 0.75 "var";
+           row
+             [ V.Null; V.String "x"; V.Null; V.Float (-1.5e300); V.Null ]
+             (Lineage.Formula.And
+                [ v "R" 7; Lineage.Formula.Or [ v "S" 8; Lineage.Formula.Not (v "S" 9) ] ])
+             1.0 "shannon";
+           row
+             [ V.Float (-0.0); V.Float 1e16; V.Float 123456789.0; V.Float Float.nan; V.Int max_int ]
+             (Lineage.Formula.Not (v "T" 0)) 0.5000000000000001 "obdd";
+         ]);
+    withheld = 4;
+    ambiguous = 1;
+    requested = 6;
+    threshold = (if released then Some 0.55 else None);
+    applied_policies =
+      (if released then
+         [
+           Rbac.Policy.make ~role:"analyst" ~purpose:"p" ~beta:0.55;
+           Rbac.Policy.make ~role:"auditor" ~purpose:"p" ~beta:0.4;
+         ]
+       else []);
+    proposal =
+      Option.map
+        (fun resolution ->
+          {
+            E.increments = [ (tid "R" 3, 0.625); (tid "S" 9, 0.1 +. 0.7) ];
+            cost = 13.25;
+            projected_release = 5;
+            solver_name = "dnc";
+            solver_stats =
+              Optimize.Solver.Divide_conquer_stats Optimize.Divide_conquer.empty_stats;
+            solver_detail = "";
+            elapsed_s = 0.5;
+            resolution;
+          })
+        proposal;
+    infeasible = not released;
+    degraded;
+    profile = None;
+  }
+
+type golden =
+  | Req of Net.Wire.request
+  | Resp of Net.Wire.response
+  | Engine of int option * E.response  (** an answer with its proposal token *)
+
+let golden_messages =
+  let answer ?proposal_token ?degraded ~proposal ~released () =
+    Engine (proposal_token, golden_response ~proposal ~degraded ~released)
+  in
+  [
+    ( "query",
+      Req
+        (Net.Wire.Query
+           {
+             user = "u00";
+             purpose = "serve";
+             perc = 0.1 +. 0.2;
+             sql = "SELECT k FROM R WHERE n < 70";
+             deadline_ms = Some 12.5;
+           }) );
+    ( "query no deadline",
+      Req (Net.Wire.Query { user = "u"; purpose = "p"; perc = 1.0; sql = "SELECT"; deadline_ms = None })
+    );
+    ("accept", Req (Net.Wire.Accept { user = "u01"; token = 424242 }));
+    ("ping", Req Net.Wire.Ping);
+    ( "answer partial proposal",
+      answer ~proposal_token:7 ~degraded:"deadline"
+        ~proposal:(Some (Optimize.Solver.Partial { reason = "deadline" }))
+        ~released:true () );
+    ( "answer complete proposal",
+      answer ~proposal_token:8 ~proposal:(Some Optimize.Solver.Complete) ~released:true () );
+    ("answer degraded no proposal", answer ~degraded:"budget" ~proposal:None ~released:true ());
+    ("answer empty", answer ~proposal:None ~released:false ());
+    ("accepted", Resp (Net.Wire.Accepted { applied = 2; cost = 13.25 }));
+    ("pong", Resp Net.Wire.Pong);
+    ("overloaded", Resp (Net.Wire.Overloaded { retry_after_ms = 50.0 }));
+    ("timeout", Resp (Net.Wire.Timeout { reason = "deadline expired in admission queue" }));
+    ("err", Resp (Net.Wire.Err "no such user"));
+  ]
+
+(* (name, frame length, MD5 of the frame) *)
+let golden_digests =
+  [
+    ("query", (77, "8c97d911401fd5a2dc570a7906443684"));
+    ("query no deadline", (41, "f12e3bc099b3c242207f24fe74678ffd"));
+    ("accept", (27, "c30da19ddb53345cf0678c9c63d1fc3b"));
+    ("ping", (12, "577c2e69053b91bdb26e2f9824ad4692"));
+    ("answer partial proposal", (584, "cd7b67aeb1b1d3ad767329332dc51d57"));
+    ("answer complete proposal", (552, "d492e071a51b85e8af8a2e93c1077617"));
+    ("answer degraded no proposal", (499, "9af50cb385cfc8b1cb18460f8fb3d28a"));
+    ("answer empty", (122, "78e273365e54417951873927b2dabb45"));
+    ("accepted", (24, "9b85fcc842714f7fba23b3bf6ff76ead"));
+    ("pong", (12, "4a5d44e51b2d79f2aee7b601aa762cf0"));
+    ("overloaded", (20, "c4bc4520c0b8fab48d86b1321db8d694"));
+    ("timeout", (51, "d28b51c9ebb975230ace6902a2d7671e"));
+    ("err", (28, "87dd1697c4a2c917b420985bbd5fd412"));
+  ]
+
+let check_golden_frames frame_of =
+  let bad =
+    List.filter_map
+      (fun (name, msg) ->
+        let frame = frame_of msg in
+        let got = (String.length frame, Digest.to_hex (Digest.string frame)) in
+        match List.assoc_opt name golden_digests with
+        | Some want when want = got -> None
+        | _ -> Some (Printf.sprintf "(%S, (%d, %S));" name (fst got) (snd got)))
+      golden_messages
+  in
+  if bad <> [] then
+    Alcotest.failf "frames differ from the golden bytes:\n%s" (String.concat "\n" bad)
+
+(* the string wrappers: message payload, then Frame.encode *)
+let test_wire_golden_frames () =
+  check_golden_frames (fun msg ->
+      let typ, payload =
+        match msg with
+        | Req r -> Net.Wire.encode_request r
+        | Resp r -> Net.Wire.encode_response r
+        | Engine (proposal_token, r) ->
+          Net.Wire.encode_response
+            (Net.Wire.Answer (Net.Wire.answer_of_response ?proposal_token r))
+      in
+      Net.Frame.encode ~typ payload)
+
+(* the serving path: whole frames built in place, in one reused buffer
+   that starts too small and must grow *)
+let test_wire_golden_frames_in_place () =
+  let b = Net.Frame.create ~capacity:16 () in
+  check_golden_frames (fun msg ->
+      (match msg with
+      | Req r -> Net.Wire.write_request b r
+      | Resp r -> Net.Wire.write_response b r
+      | Engine (proposal_token, r) -> Net.Wire.write_answer b ?proposal_token r);
+      Net.Frame.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* server fixtures *)
@@ -236,6 +533,55 @@ let test_server_identity_with_batch () =
             Alcotest.failf "response %d differs between wire and Session.batch" i)
         (List.combine ws ls))
     wire_bodies local_bodies
+
+(* One connection: an answer with a body over 1 MiB (the buffers on
+   both ends grow, then drop the outsized storage), then small answers in
+   the same buffers, interleaved; every body matches the in-process one. *)
+let test_server_large_then_small () =
+  let ctx = build_ctx () in
+  let db =
+    let open Relational in
+    let db =
+      Db.add_relation ctx.E.db
+        (Relation.create "Big" (Schema.of_list [ ("id", V.TInt); ("text", V.TString) ]))
+    in
+    List.fold_left
+      (fun db i ->
+        fst (Db.insert db "Big" [ V.Int i; V.String (String.make 480 (Char.chr (97 + (i mod 26)))) ] ~conf:0.9))
+      db
+      (List.init 2400 Fun.id)
+  in
+  let ctx = { ctx with E.db } in
+  let stream =
+    [ "SELECT id, text FROM Big"; "SELECT x FROM T"; "SELECT x FROM T WHERE x < 4";
+      "SELECT id, text FROM Big"; "SELECT x FROM T WHERE x > 2" ]
+  in
+  let wire =
+    with_server ctx (fun server ->
+        let client = Net.Client.create ~seed:5 (Net.Server.address server) in
+        Fun.protect
+          ~finally:(fun () -> Net.Client.close client)
+          (fun () ->
+            List.map
+              (fun sql ->
+                match Net.Client.query client ~user:"u0" ~purpose:"p" ~perc:0.3 sql with
+                | Net.Client.Answer a -> a.Net.Wire.body
+                | o -> Alcotest.failf "%s: %s" sql (Net.Client.outcome_label o))
+              stream))
+  in
+  let local =
+    E.Session.batch (E.Session.create ctx)
+      (List.map
+         (fun sql -> { E.query = Pcqe.Query.sql sql; user = "u0"; purpose = "p"; perc = 0.3 })
+         stream)
+    |> List.map (fun r -> Net.Wire.body_of_response (ok r))
+  in
+  Alcotest.(check bool) "large body over 1 MiB" true
+    (String.length (List.hd wire) > 1024 * 1024);
+  List.iteri
+    (fun i (w, l) ->
+      if not (String.equal w l) then Alcotest.failf "answer %d differs from in-process" i)
+    (List.combine wire local)
 
 let test_server_accept_token () =
   let ctx = build_ctx () in
@@ -533,17 +879,26 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "crc32 vector" `Quick test_frame_crc32_vector;
           Alcotest.test_case "rejects malformed" `Quick test_frame_rejects_malformed;
+          Alcotest.test_case "sliced crc32 = bitwise" `Quick test_frame_crc32_sliced;
+          Alcotest.test_case "any payload flip caught" `Quick test_frame_any_flip_is_caught;
+          Alcotest.test_case "one-byte reads" `Quick test_frame_one_byte_reads;
+          Alcotest.test_case "buffer shrinks after outsized" `Quick test_frame_buffer_shrinks;
+          Alcotest.test_case "io retries EINTR" `Quick test_io_retries_eintr;
         ] );
       ( "wire",
         [
           Alcotest.test_case "request roundtrip" `Quick test_wire_request_roundtrip;
           Alcotest.test_case "response roundtrip" `Quick test_wire_response_roundtrip;
           Alcotest.test_case "rejects truncated" `Quick test_wire_rejects_truncated;
+          Alcotest.test_case "golden frames" `Quick test_wire_golden_frames;
+          Alcotest.test_case "golden frames in place" `Quick test_wire_golden_frames_in_place;
         ] );
       ( "server",
         [
           Alcotest.test_case "identity with Session.batch" `Quick
             test_server_identity_with_batch;
+          Alcotest.test_case "large then small answers" `Quick
+            test_server_large_then_small;
           Alcotest.test_case "accept via single-use token" `Quick
             test_server_accept_token;
           Alcotest.test_case "sheds under overload" `Quick

@@ -52,6 +52,22 @@ let test_to_string () =
   Alcotest.(check string) "render" "(1, x)"
     (T.to_string (T.of_list [ V.Int 1; V.String "x" ]))
 
+(* integers are written digit by digit, not through string_of_int: the
+   text must still be string_of_int's, for tuples and tids alike *)
+let test_int_text () =
+  let rng = Random.State.make [| 7 |] in
+  let ints =
+    [ 0; 1; 9; 10; -1; -9; -10; 99; 100; 123456789; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.init 500 (fun _ -> Random.State.bits rng - Random.State.bits rng)
+    @ List.init 500 (fun _ -> Random.State.int64 rng Int64.max_int |> Int64.to_int)
+  in
+  List.iter
+    (fun n ->
+      let s = string_of_int n in
+      Alcotest.(check string) "tuple" ("(" ^ s ^ ", " ^ s ^ ")") (T.to_string (T.of_list [ V.Int n; V.Int n ]));
+      Alcotest.(check string) "tid" ("R#" ^ s) (Lineage.Tid.to_string (Lineage.Tid.make "R" n)))
+    ints
+
 let () =
   Alcotest.run "tuple"
     [
@@ -64,5 +80,6 @@ let () =
           Alcotest.test_case "conforms" `Quick test_conforms;
           Alcotest.test_case "compare/hash" `Quick test_compare_and_hash;
           Alcotest.test_case "to_string" `Quick test_to_string;
+          Alcotest.test_case "int text = string_of_int" `Quick test_int_text;
         ] );
     ]
