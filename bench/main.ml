@@ -36,12 +36,6 @@
                    throughput (rows/s), top-K-by-confidence heap vs
                    full sort — identity-checked row-vs-columnar on
                    every point; writes BENCH_columnar.json
-     sweep-circuits  safe-plan confidence fast path + d-DNNF lineage
-                   circuits vs the degradation ladder: hierarchical
-                   query through the engine, unsafe self-join re-priced
-                   across confidence epochs, and circuit-backed solver
-                   evaluators — every point bit-identical to the
-                   ladder; writes BENCH_circuits.json
      smoke       every panel at tiny sizes (run by `dune runtest`)
      micro       Bechamel micro-benchmarks of the hot paths
 
@@ -78,14 +72,6 @@ let machine_fields () =
     (Exec.resolve_jobs ())
 
 let row fmt = Printf.printf fmt
-
-(* run [f] with the circuit/safe-plan fast paths pinned on or off —
-   panels that A/B the two confidence tiers, or that assert
-   ladder/cache-path behaviour a safe-plan query would bypass, pin
-   explicitly instead of inheriting PCQE_CIRCUITS *)
-let with_circuits on f =
-  Lineage.Circuit.force (Some on);
-  Fun.protect ~finally:(fun () -> Lineage.Circuit.force None) f
 
 (* ------------------------------------------------------------------ *)
 (* Table 4 *)
@@ -1043,6 +1029,12 @@ let serving_context ~rows ~principals ~seed () =
 
 let serving_sql = "SELECT k FROM R WHERE n < 70"
 
+(* a self-join over the serving relation: its plan is not safe and its
+   rows carry two-tuple lineage, so it is priced through the per-epoch
+   confidence cache (a safe plan, or single-tuple lineage, never touches
+   the cache) *)
+let self_join_sql = "SELECT X.k FROM R AS X, R AS Y WHERE X.n = Y.k AND X.n < 70"
+
 let assert_identical label colds warms =
   List.iteri
     (fun i (c, w) ->
@@ -1146,16 +1138,14 @@ let sweep_serving ?(rows = 2000) ?(reps = 64)
      the warm re-answer recomputes only those (kept small so the number
      of increments stays within the database's bounded change log) *)
   let post_accept_entry =
-    (* the safe-plan fast path would answer this hierarchical query
-       without ever touching the confidence cache; pin it off — this
-       entry asserts the cache's epoch machinery specifically *)
-    with_circuits false @@ fun () ->
+    (* the self-join, not [serving_sql]: this entry asserts the
+       confidence cache's epoch machinery, which a safe plan bypasses *)
     let post_rows = min rows 400 in
     let ctx, users = serving_context ~rows:post_rows ~principals:1 ~seed () in
     let user = List.hd users in
     let request =
       {
-        Pcqe.Engine.query = Pcqe.Query.sql serving_sql;
+        Pcqe.Engine.query = Pcqe.Query.sql self_join_sql;
         user;
         purpose = "serve";
         perc = 0.8;
@@ -1398,7 +1388,12 @@ let sweep_columnar ?(sizes = [ 100_000; 1_000_000 ]) ?(reps = 3) () =
         let groups = List.length pa.Eval.rows in
         (* top-K by confidence over the full scan's released rows *)
         let k = min 100 size in
-        let scored = Eval.with_confidence db (Eval.run_exn db scan_plan) in
+        let scored =
+          let p = Database.confidence_fn db in
+          List.map
+            (fun (r : Eval.row) -> (r, Lineage.Prob.read_once p r.Eval.lineage))
+            (Eval.run_exn db scan_plan).Eval.rows
+        in
         let take n xs = List.filteri (fun i _ -> i < n) xs in
         let full_sort () =
           take k
@@ -1434,288 +1429,6 @@ let sweep_columnar ?(sizes = [ 100_000; 1_000_000 ]) ?(reps = 3) () =
   output_string oc "\n  ]\n}\n";
   close_out oc;
   row "  wrote %d points to %s\n" (List.length entries) columnar_json_path
-
-(* ------------------------------------------------------------------ *)
-
-(* sweep-circuits: the safe-plan confidence fast path and d-DNNF lineage
-   circuits against the degradation ladder.  Three points, each
-   identity-asserted (the panel fails hard on any mismatch) before its
-   ["identical": true] is written to BENCH_circuits.json:
-
-     safe-query   — a hierarchical (safe-plan) query answered through
-                    the engine with the fast path on vs forced off (the
-                    PCQE_CIRCUITS=0 behaviour); responses must be
-                    bit-identical, the on-run must fire the
-                    [engine.safe_plan] counter and label every released
-                    row with tier ["safe_plan"]
-     self-join    — an unsafe (non-read-once, self-join-shaped)
-                    confidence workload re-priced across E confidence
-                    epochs through a Conf_cache: the ladder pays Shannon
-                    expansion every epoch, the circuit pays one compile
-                    plus E linear passes; values must be bitwise equal
-                    (circuits are restricted to the Shannon exactness
-                    domain)
-     solver       — incremental strategy-finding over entangled
-                    dyadic-confidence lineage: circuit-backed vs
-                    OBDD/Shannon-backed compiled evaluators; solver
-                    outcomes must be identical (the dyadic δ-grid makes
-                    every evaluator's arithmetic exact) *)
-
-let circuits_json_path = "BENCH_circuits.json"
-
-(* sliding-window entangled formulas over freshly inserted base tuples:
-   Or of pairwise Ands, every variable in several clauses — the lineage
-   shape of a selective self-join, non-read-once but inside the Shannon
-   exactness domain (asserted below) *)
-let circuits_self_join ~num_bases ~num_results ~width ~seed =
-  let open Relational in
-  let s = Relation.create "S" (Schema.of_list [ ("k", Value.TInt) ]) in
-  let db = Database.add_relation Database.empty s in
-  let rng = Prng.Splitmix.of_int seed in
-  let db, rev_tids =
-    List.fold_left
-      (fun (db, acc) i ->
-        let db, tid =
-          Database.insert db "S" [ Value.Int i ]
-            ~conf:(Prng.Splitmix.float_in rng 0.3 0.9)
-        in
-        (db, tid :: acc))
-      (db, []) (List.init num_bases Fun.id)
-  in
-  let tids = Array.of_list (List.rev rev_tids) in
-  let formulas =
-    List.init num_results (fun j ->
-        Lineage.Formula.disj
-          (List.init (width - 1) (fun i ->
-               let a = tids.((j + i) mod num_bases) in
-               let b = tids.((j + i + 1) mod num_bases) in
-               Lineage.Formula.conj
-                 [ Lineage.Formula.var a; Lineage.Formula.var b ])))
-  in
-  (db, tids, formulas)
-
-(* dyadic variant of [entangled_problem]: confidences and δ are exact
-   binary fractions, so circuit, OBDD and Shannon evaluators all compute
-   the same float bit for bit and solver outcomes can be compared with
-   [=] rather than a tolerance *)
-let entangled_dyadic ~num_bases ~num_results ~width ~required ~seed () =
-  let rng = Prng.Splitmix.of_int seed in
-  let dyadics = [| 0.125; 0.25; 0.375; 0.5 |] in
-  let bases =
-    List.init num_bases (fun i ->
-        {
-          Problem.tid = Lineage.Tid.make "cir" i;
-          p0 = dyadics.(Prng.Splitmix.int rng 4);
-          cap = 1.0;
-          cost = Cost.Cost_model.random rng;
-        })
-  in
-  let tids = Array.of_list (List.map (fun b -> b.Problem.tid) bases) in
-  let formulas =
-    List.init num_results (fun j ->
-        Lineage.Formula.disj
-          (List.init (width - 1) (fun i ->
-               let a = tids.((j + i) mod num_bases) in
-               let b = tids.((j + i + 1) mod num_bases) in
-               Lineage.Formula.conj
-                 [ Lineage.Formula.var a; Lineage.Formula.var b ])))
-  in
-  Problem.make_exn ~delta:0.25 ~incremental:true ~beta:0.6 ~required ~bases
-    ~formulas ()
-
-let sweep_circuits ?(rows = 2000) ?(reps = 3) ?(epochs = 48) ?(seed = 17) () =
-  header "sweep-circuits: safe-plan fast path + lineage circuits vs ladder";
-  row "  every point is checked identical to the ladder before writing\n";
-  (* (1) safe-plan fast path through the engine *)
-  let safe_entry =
-    let ctx, users = serving_context ~rows ~principals:1 ~seed () in
-    let user = List.hd users in
-    let request =
-      {
-        Pcqe.Engine.query = Pcqe.Query.sql serving_sql;
-        user;
-        purpose = "serve";
-        perc = 0.3;
-      }
-    in
-    let answer () = Pcqe.Engine.answer ctx request in
-    let on, t_on = timed_best reps (fun () -> with_circuits true answer) in
-    let off, t_off = timed_best reps (fun () -> with_circuits false answer) in
-    if outcome_fingerprint on <> outcome_fingerprint off then
-      failwith "sweep-circuits: safe-query responses differ (on vs off)";
-    (* untimed verification run: the fast path must actually fire and
-       label every released row *)
-    let obs = Obs.wall () in
-    let verified =
-      with_circuits true (fun () ->
-          Pcqe.Engine.answer { ctx with Pcqe.Engine.obs = Some obs } request)
-    in
-    let released, withheld =
-      match verified with
-      | Error m -> failwith ("sweep-circuits: safe-query verify: " ^ m)
-      | Ok r ->
-        if Obs.Metrics.counter obs.Obs.metrics "engine.safe_plan" < 1 then
-          failwith "sweep-circuits: engine.safe_plan did not fire";
-        List.iter
-          (fun (rel : Pcqe.Engine.released) ->
-            if rel.Pcqe.Engine.conf_tier <> "safe_plan" then
-              failwith
-                (Printf.sprintf
-                   "sweep-circuits: released row priced by %S, not safe_plan"
-                   rel.Pcqe.Engine.conf_tier))
-          r.Pcqe.Engine.released;
-        (List.length r.Pcqe.Engine.released, r.Pcqe.Engine.withheld)
-    in
-    let speedup = t_off /. Float.max t_on 1e-9 in
-    row "  %-24s off %8.5fs  on %8.5fs  %6.2fx  (released %d)\n"
-      (Printf.sprintf "safe-query rows=%d" rows)
-      t_off t_on speedup released;
-    Printf.sprintf
-      "    \
-       \"safe_query\": \
-       {\"rows\":%d,\"released\":%d,\"withheld\":%d,\"ladder_s\":%g,\"fast_path_s\":%g,\"speedup\":%g,\"safe_plan_fired\":true,\"identical\":true}"
-      rows released withheld t_off t_on speedup
-  in
-  (* (2) unsafe self-join workload across confidence epochs *)
-  let self_join_entry =
-    let num_bases = 20 and num_results = 16 and width = 12 in
-    let db0, tids, formulas =
-      circuits_self_join ~num_bases ~num_results ~width ~seed
-    in
-    List.iter
-      (fun f ->
-        if Lineage.Formula.is_read_once f then
-          failwith "sweep-circuits: self-join lineage is read-once";
-        if
-          Lineage.Prob.shannon_cost_estimate f
-          > Lineage.Approx.exact_threshold
-        then failwith "sweep-circuits: self-join lineage left Shannon domain")
-      formulas;
-    (* one confidence bump per epoch, every formula re-priced through the
-       cache; returns every value computed so the two modes can be
-       compared bit for bit *)
-    let workload ?obs on () =
-      with_circuits on (fun () ->
-          let cache = Pcqe.Conf_cache.create () in
-          let db = ref db0 in
-          let values = ref [] in
-          for e = 1 to epochs do
-            (* touch a spread of bases so most formulas re-price each
-               epoch — the self-join's every-query-dirty regime *)
-            List.iter
-              (fun k ->
-                db :=
-                  Relational.Database.set_confidence !db
-                    tids.(((3 * e) + k) mod num_bases)
-                    (0.25 +. (0.5 *. float_of_int e /. float_of_int epochs)))
-              [ 0; 7; 13 ];
-            List.iter
-              (fun f ->
-                values :=
-                  Pcqe.Conf_cache.confidence ?obs cache ~db:!db f :: !values)
-              formulas
-          done;
-          List.rev !values)
-    in
-    let ladder_vals, t_ladder = timed_best reps (workload false) in
-    let circuit_vals, t_circuit = timed_best reps (workload true) in
-    List.iter2
-      (fun a b ->
-        if Int64.bits_of_float a <> Int64.bits_of_float b then
-          failwith
-            (Printf.sprintf
-               "sweep-circuits: self-join confidence differs: %.17g vs %.17g"
-               a b))
-      ladder_vals circuit_vals;
-    (* untimed verification run: circuits built once, re-evaluated per
-       epoch thereafter *)
-    let obs = Obs.wall () in
-    ignore (workload ~obs true ());
-    let builds = Obs.Metrics.counter obs.Obs.metrics "ladder.circuit_build" in
-    let reevals =
-      Obs.Metrics.counter obs.Obs.metrics "ladder.circuit_reeval"
-    in
-    if builds < 1 then
-      failwith "sweep-circuits: no circuit was built on the self-join";
-    if reevals < 1 then
-      failwith "sweep-circuits: no circuit re-evaluation on the self-join";
-    let speedup = t_ladder /. Float.max t_circuit 1e-9 in
-    row
-      "  %-24s ladder %6.4fs  circuit %6.4fs  %6.2fx  (builds %d reevals \
-       %d)\n"
-      (Printf.sprintf "self-join epochs=%d" epochs)
-      t_ladder t_circuit speedup builds reevals;
-    Printf.sprintf
-      "    \
-       \"self_join_epochs\": \
-       {\"bases\":%d,\"results\":%d,\"width\":%d,\"epochs\":%d,\"evals\":%d,\"circuit_builds\":%d,\"circuit_reevals\":%d,\"ladder_s\":%g,\"circuit_s\":%g,\"speedup\":%g,\"identical\":true}"
-      num_bases num_results width epochs
-      (List.length ladder_vals)
-      builds reevals t_ladder t_circuit speedup
-  in
-  (* (3) solver incremental re-evaluation, circuit vs ladder evaluators *)
-  let solver_entry =
-    let num_bases = 18 and num_results = 15 and width = 7 and required = 7 in
-    let make on =
-      with_circuits on (fun () ->
-          entangled_dyadic ~num_bases ~num_results ~width ~required ~seed ())
-    in
-    let pb_circ = make true in
-    let pb_ladder = make false in
-    let circuit_classes pb =
-      let seen = Hashtbl.create 16 in
-      let n = ref 0 in
-      for rid = 0 to Problem.num_results pb - 1 do
-        let cid = Problem.class_of_result pb rid in
-        if not (Hashtbl.mem seen cid) then begin
-          Hashtbl.add seen cid ();
-          if Problem.evaluator_kind pb cid = "circuit" then incr n
-        end
-      done;
-      !n
-    in
-    if circuit_classes pb_circ < 1 then
-      failwith "sweep-circuits: no class compiled to a circuit";
-    if circuit_classes pb_ladder <> 0 then
-      failwith "sweep-circuits: forced-off problem still built circuits";
-    (* branch-and-bound heuristic: the probe-heaviest solver — every
-       node re-prices affected classes through the compiled evaluators *)
-    let algorithm =
-      Optimize.Solver.Heuristic Optimize.Heuristic.default_config
-    in
-    let solve pb () = Optimize.Solver.solve ~algorithm pb in
-    let out_circ, t_circ = timed_best reps (solve pb_circ) in
-    let out_ladder, t_ladder = timed_best reps (solve pb_ladder) in
-    if out_circ.Optimize.Solver.solution <> out_ladder.Optimize.Solver.solution
-    then failwith "sweep-circuits: solver solutions differ";
-    if
-      out_circ.Optimize.Solver.satisfied
-      <> out_ladder.Optimize.Solver.satisfied
-    then failwith "sweep-circuits: solver satisfied sets differ";
-    if out_circ.Optimize.Solver.cost <> out_ladder.Optimize.Solver.cost then
-      failwith "sweep-circuits: solver costs differ";
-    let speedup = t_ladder /. Float.max t_circ 1e-9 in
-    row "  %-24s ladder %6.4fs  circuit %6.4fs  %6.2fx  (classes %d)\n"
-      (Printf.sprintf "solver bases=%d" num_bases)
-      t_ladder t_circ speedup
-      (Problem.num_classes pb_circ);
-    Printf.sprintf
-      "    \
-       \"solver_incremental\": \
-       {\"solver\":\"heuristic-bb\",\"jobs\":%d,\"bases\":%d,\"results\":%d,\"required\":%d,\"classes\":%d,\"circuit_classes\":%d,\"feasible\":%b,\"cost\":%g,\"ladder_s\":%g,\"circuit_s\":%g,\"speedup\":%g,\"identical\":true}"
-      (Exec.resolve_jobs ()) num_bases num_results required
-      (Problem.num_classes pb_circ)
-      (circuit_classes pb_circ)
-      (out_circ.Optimize.Solver.solution <> None)
-      out_circ.Optimize.Solver.cost t_ladder t_circ speedup
-  in
-  let entries = [ safe_entry; self_join_entry; solver_entry ] in
-  let oc = open_out circuits_json_path in
-  Printf.fprintf oc "{\n  %s,\n" (machine_fields ());
-  output_string oc (String.concat ",\n" entries);
-  output_string oc "\n}\n";
-  close_out oc;
-  row "  wrote %d points to %s\n" (List.length entries) circuits_json_path
 
 (* ------------------------------------------------------------------ *)
 
@@ -2071,17 +1784,16 @@ let sweep_shards ?(rows = 2000) ?(principals = 1024)
   let flood_rounds = 2 + (520 / List.length flood_tids) in
   let flood_target k = 0.955 +. (0.0001 *. float_of_int k) in
   let invalidation_points =
-    with_circuits false @@ fun () ->
-    (* circuits off: the var fast path would answer single-tuple classes
-       straight from the base vector with no cache traffic, and this
-       entry is precisely about what the cache invalidates *)
+    (* the self-join: single-tuple classes are answered straight from
+       the base vector with no cache traffic, and this entry is
+       precisely about what the cache invalidates *)
     List.map
       (fun shards ->
         let ctx, users = serving_context ~rows ~principals:1 ~seed () in
         let user = List.hd users in
         let req =
           {
-            Pcqe.Engine.query = Pcqe.Query.sql serving_sql;
+            Pcqe.Engine.query = Pcqe.Query.sql self_join_sql;
             user;
             purpose = "serve";
             perc = 0.3;
@@ -2244,7 +1956,6 @@ let smoke () =
   sweep_shards ~rows:240 ~principals:16 ~requests_per_principal:1
     ~shard_counts:[ 1; 4 ] ();
   sweep_columnar ~sizes:[ 2000 ] ~reps:1 ();
-  sweep_circuits ~rows:300 ~reps:1 ~epochs:4 ();
   micro ~quota:0.05 ~size:200 ()
 
 let all_panels ~full ~jobs_levels () =
@@ -2268,7 +1979,6 @@ let all_panels ~full ~jobs_levels () =
   sweep_server ();
   sweep_shards ();
   sweep_columnar ~sizes:(if full then [ 100_000; 1_000_000 ] else [ 100_000 ]) ();
-  sweep_circuits ();
   micro ()
 
 let () =
@@ -2321,7 +2031,6 @@ let () =
         | "sweep-server" -> sweep_server ()
         | "sweep-shards" -> sweep_shards ()
         | "sweep-columnar" -> sweep_columnar ()
-        | "sweep-circuits" -> sweep_circuits ()
         | "smoke" -> smoke ()
         | "micro" -> micro ()
         | other -> Printf.eprintf "unknown panel %S\n" other)

@@ -209,7 +209,7 @@ let print_top_released k (resp : Pcqe.Engine.response) =
     top
 
 let run_query workspace data_dir rbac_file policy_file costs_file user purpose
-    perc solver jobs shards deadline_ms mc_fallback apply trace metrics_out
+    perc solver jobs shards deadline_ms apply trace metrics_out
     metrics_format top sql =
   let result =
     let* ctx =
@@ -222,7 +222,7 @@ let run_query workspace data_dir rbac_file policy_file costs_file user purpose
       | Some j -> { ctx with Pcqe.Engine.jobs = Exec.resolve_jobs ~jobs:j () }
     in
     let* deadline = deadline_spec_of_ms deadline_ms in
-    let ctx = { ctx with Pcqe.Engine.deadline; mc_fallback } in
+    let ctx = { ctx with Pcqe.Engine.deadline } in
     with_obs ~trace ~metrics_out ~metrics_format (fun obs ->
         let ctx = { ctx with Pcqe.Engine.obs } in
         let request =
@@ -312,7 +312,7 @@ let print_batch_outcome i (req : Pcqe.Engine.request) = function
       | None -> "")
 
 let run_batch workspace data_dir rbac_file policy_file costs_file solver jobs
-    shards deadline_ms mc_fallback repeat stats trace metrics_out metrics_format
+    shards deadline_ms repeat stats trace metrics_out metrics_format
     requests_file =
   let result =
     let* ctx =
@@ -325,7 +325,7 @@ let run_batch workspace data_dir rbac_file policy_file costs_file solver jobs
       | Some j -> { ctx with Pcqe.Engine.jobs = Exec.resolve_jobs ~jobs:j () }
     in
     let* deadline = deadline_spec_of_ms deadline_ms in
-    let ctx = { ctx with Pcqe.Engine.deadline; mc_fallback } in
+    let ctx = { ctx with Pcqe.Engine.deadline } in
     let* text = read_file requests_file in
     let* requests = parse_requests text in
     let* () =
@@ -374,7 +374,7 @@ let run_batch workspace data_dir rbac_file policy_file costs_file solver jobs
    confidence-ladder rungs the request used. *)
 
 let run_explain workspace data_dir rbac_file policy_file costs_file user
-    purpose perc solver jobs shards deadline_ms mc_fallback cold sql =
+    purpose perc solver jobs shards deadline_ms cold sql =
   let result =
     let* ctx =
       build_context workspace data_dir rbac_file policy_file costs_file solver
@@ -391,7 +391,6 @@ let run_explain workspace data_dir rbac_file policy_file costs_file user
       {
         ctx with
         Pcqe.Engine.deadline;
-        mc_fallback;
         obs = Some obs;
         profile = true;
       }
@@ -573,7 +572,7 @@ let run_export data_dir relation =
 (* serve subcommand: the fault-tolerant network serving tier *)
 
 let run_serve workspace data_dir rbac_file policy_file costs_file solver jobs
-    shards mc_fallback listen admit queue retry_after_ms default_deadline_ms
+    shards listen admit queue retry_after_ms default_deadline_ms
     max_requests drain_deadline_s metrics_out metrics_format =
   let result =
     let* ctx =
@@ -585,7 +584,6 @@ let run_serve workspace data_dir rbac_file policy_file costs_file solver jobs
       | None -> ctx
       | Some j -> { ctx with Pcqe.Engine.jobs = Exec.resolve_jobs ~jobs:j () }
     in
-    let ctx = { ctx with Pcqe.Engine.mc_fallback } in
     let* listen = Net.Server.listen_of_string listen in
     let* default_deadline_ms =
       match default_deadline_ms with
@@ -803,9 +801,10 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:
-          "Wall-clock budget in milliseconds.  On expiry the solver stops \
-           at its best-so-far feasible answer and the result is reported \
-           as partial (degraded) instead of running unbounded.")
+          "Wall-clock budget in milliseconds.  On expiry the confidence \
+           ladder withholds the tuples it could not price in time, and the \
+           solver stops at its best-so-far feasible answer and the result \
+           is reported as partial (degraded) instead of running unbounded.")
 
 let trace_arg =
   Arg.(
@@ -875,17 +874,6 @@ let query_cmd =
       & info [ "apply" ]
           ~doc:"Accept the improvement proposal and show the improved answer.")
   in
-  let mc_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "mc-fallback" ]
-          ~doc:
-            "Confidence degradation ladder: when exact confidence \
-             computation is too expensive, fall back to a Monte-Carlo \
-             (epsilon, delta) interval.  Fail-closed: a result whose \
-             interval straddles the policy threshold is withheld and \
-             counted as ambiguous.")
-  in
   let top_arg =
     Arg.(
       value
@@ -901,7 +889,7 @@ let query_cmd =
     Term.(
       const run_query $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
       $ costs_arg $ user_arg $ purpose_arg $ perc_arg $ solver_arg $ jobs_arg
-      $ shards_arg $ deadline_arg $ mc_fallback_arg $ apply_arg $ trace_arg
+      $ shards_arg $ deadline_arg $ apply_arg $ trace_arg
       $ metrics_out_arg $ metrics_format_arg $ top_arg $ sql_arg)
 
 let explain_cmd =
@@ -935,12 +923,6 @@ let explain_cmd =
       & info [ "perc" ] ~docv:"FRACTION"
           ~doc:"Fraction of results the user needs (theta).")
   in
-  let mc_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "mc-fallback" ]
-          ~doc:"Monte-Carlo confidence fallback (fail-closed).")
-  in
   let cold_arg =
     Arg.(
       value & flag
@@ -972,7 +954,7 @@ let explain_cmd =
     Term.(
       const run_explain $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
       $ costs_arg $ user_arg $ purpose_arg $ perc_arg $ solver_arg $ jobs_arg
-      $ shards_arg $ deadline_arg $ mc_fallback_arg $ cold_arg $ sql_arg)
+      $ shards_arg $ deadline_arg $ cold_arg $ sql_arg)
 
 let batch_cmd =
   let rbac_arg =
@@ -992,12 +974,6 @@ let batch_cmd =
       value
       & opt (some file) None
       & info [ "costs" ] ~docv:"FILE" ~doc:"Per-tuple cost functions.")
-  in
-  let mc_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "mc-fallback" ]
-          ~doc:"Monte-Carlo confidence fallback (fail-closed).")
   in
   let repeat_arg =
     Arg.(
@@ -1044,7 +1020,7 @@ let batch_cmd =
     Term.(
       const run_batch $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
       $ costs_arg $ solver_arg $ jobs_arg $ shards_arg $ deadline_arg
-      $ mc_fallback_arg $ repeat_arg $ stats_arg $ trace_arg $ metrics_out_arg
+      $ repeat_arg $ stats_arg $ trace_arg $ metrics_out_arg
       $ metrics_format_arg $ requests_arg)
 
 let plan_cmd =
@@ -1116,12 +1092,6 @@ let serve_cmd =
       value
       & opt (some file) None
       & info [ "costs" ] ~docv:"FILE" ~doc:"Per-tuple cost functions.")
-  in
-  let mc_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "mc-fallback" ]
-          ~doc:"Monte-Carlo confidence fallback (fail-closed).")
   in
   let listen_arg =
     Arg.(
@@ -1199,7 +1169,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run_serve $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
-      $ costs_arg $ solver_arg $ jobs_arg $ shards_arg $ mc_fallback_arg
+      $ costs_arg $ solver_arg $ jobs_arg $ shards_arg
       $ listen_arg $ admit_arg $ queue_arg $ retry_after_arg
       $ default_deadline_arg $ max_requests_arg $ drain_arg $ metrics_out_arg
       $ metrics_format_arg)

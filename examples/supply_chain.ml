@@ -59,11 +59,13 @@ let print_result db title sql views =
     | Error msg -> failwith msg
     | Ok res ->
       print_endline (Relational.Eval.to_string res);
+      let p = Relational.Database.confidence_fn db in
       List.iter
-        (fun (row, conf) ->
-          Printf.printf "  confidence %.4f : %s\n" conf
-            (Relational.Tuple.to_string row.Relational.Eval.tuple))
-        (Relational.Eval.with_confidence db res))
+        (fun (row : Relational.Eval.row) ->
+          Printf.printf "  confidence %.4f : %s\n"
+            (Lineage.Approx.point (Lineage.Approx.confidence p row.lineage))
+            (Relational.Tuple.to_string row.tuple))
+        res.Relational.Eval.rows)
 
 let () =
   let db = build () in

@@ -83,15 +83,19 @@ let submit t task =
   Condition.signal t.has_work;
   Mutex.unlock t.mutex
 
-(* Chaos-testable injection point: models a worker task blowing up.  A
-   no-op unless the test suite armed a [Resilience.Fault] plan. *)
-let chunk_fault () = Resilience.Fault.hit Resilience.Fault.site_pool_chunk
-
 let run_chunks t ~chunks f =
   if chunks > 0 then begin
+    (* chaos-testable injection point, modelling a worker task blowing
+       up: chunk [i] is hit [base + i] of the site, reserved up front, so
+       which chunks fail is a function of the plan alone, never of which
+       domain reached the site first.  A no-op unless a
+       [Resilience.Fault] plan is armed. *)
+    let chunk_fault =
+      Resilience.Fault.reserve Resilience.Fault.site_pool_chunk chunks
+    in
     if t.jobs = 1 || chunks = 1 then
       for i = 0 to chunks - 1 do
-        chunk_fault ();
+        chunk_fault i;
         f i
       done
     else begin
@@ -122,7 +126,7 @@ let run_chunks t ~chunks f =
         let i = Atomic.fetch_and_add next 1 in
         if i < chunks then begin
           (try
-             chunk_fault ();
+             chunk_fault i;
              f i
            with e -> record i e);
           finish_one ();

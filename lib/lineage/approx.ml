@@ -18,59 +18,74 @@ let samples_for mc =
 
 let exact_threshold = 4096
 
-type tier = Var | Read_once | Shannon | Circuit | Obdd | Monte_carlo
+type tier = Var | Read_once | Circuit | Obdd | Monte_carlo
 
 let tier_name = function
   | Var -> "var"
   | Read_once -> "read_once"
-  | Shannon -> "shannon"
   | Circuit -> "circuit"
   | Obdd -> "obdd"
   | Monte_carlo -> "monte_carlo"
 
-let confidence ?pool ?fork ?(on_tier = fun (_ : tier) -> ()) ?(exact_node_cap = 20_000)
-    ?(mc = default_mc) p f =
+let confidence ?pool ?fork ?(deadline = Resilience.Deadline.never)
+    ?(on_tier = fun (_ : tier) -> ()) ?(circuit = fun f -> Circuit.compile_opt f)
+    ?(exact_node_cap = 20_000) ?(mc = default_mc) p f =
+  let expired () = Resilience.Deadline.expired deadline in
   match f with
-  | Formula.Var v when Circuit.enabled () ->
-    (* single-tuple lineage: the confidence IS the base confidence — no
-       ladder setup, no formula walk.  Gated with the circuit fast path
-       so PCQE_CIRCUITS=0 restores the read-once rung for these. *)
+  | Formula.Var v ->
+    (* single-tuple lineage: the confidence IS the base confidence *)
     on_tier Var;
     Exact (p v)
-  | _ ->
-  if Formula.is_read_once f then begin
+  | _ when Formula.is_read_once f ->
     on_tier Read_once;
     Exact (Prob.read_once p f)
-  end
-  else if Prob.shannon_cost_estimate f <= exact_threshold then begin
-    on_tier Shannon;
-    Exact (Prob.exact p f)
-  end
-  else begin
-    let m = Bdd.manager () in
-    match Bdd.of_formula ~size_cap:exact_node_cap m f with
-    | b ->
-      on_tier Obdd;
-      Exact (Bdd.prob m p b)
-    | exception Bdd.Size_cap_exceeded -> (
-      on_tier Monte_carlo;
-      let samples = samples_for mc in
-      (* per-formula stream: reproducible, order- and pool-independent *)
-      let rng = Prng.Splitmix.of_int (mc.seed lxor Formula.hash f) in
-      match Prob.monte_carlo ?pool ?fork rng ~samples p f with
-      | est ->
-        Interval
-          {
-            lo = Float.max 0.0 (est -. mc.eps);
-            hi = Float.min 1.0 (est +. mc.eps);
-            estimate = est;
-            samples;
-          }
-      | exception e ->
-        (* fail closed: an unanswerable confidence is a withheld tuple,
-           never a released one *)
-        Failed (Printexc.to_string e))
-  end
+  | _ -> (
+    match
+      if Prob.shannon_cost_estimate f <= exact_threshold then circuit f
+      else None
+    with
+    | Some c ->
+      on_tier Circuit;
+      Exact (Circuit.eval c p)
+    | None -> (
+      (* the bounded rungs: each checks the deadline before it starts,
+         and an expired one fails closed under its own name *)
+      if expired () then begin
+        on_tier Obdd;
+        Failed "deadline"
+      end
+      else
+        let m = Bdd.manager () in
+        match Bdd.of_formula ~size_cap:exact_node_cap m f with
+        | b ->
+          on_tier Obdd;
+          Exact (Bdd.prob m p b)
+        | exception Bdd.Size_cap_exceeded -> (
+          on_tier Monte_carlo;
+          if expired () then Failed "deadline"
+          else
+            let samples = samples_for mc in
+            (* per-formula stream: reproducible, order- and pool-independent *)
+            let rng = Prng.Splitmix.of_int (mc.seed lxor Formula.hash f) in
+            match Prob.monte_carlo ?pool ?fork ~deadline rng ~samples p f with
+            | est ->
+              Interval
+                {
+                  lo = Float.max 0.0 (est -. mc.eps);
+                  hi = Float.min 1.0 (est +. mc.eps);
+                  estimate = est;
+                  samples;
+                }
+            | exception Prob.Deadline_expired -> Failed "deadline"
+            | exception e ->
+              (* fail closed: an unanswerable confidence is a withheld
+                 tuple, never a released one *)
+              Failed (Printexc.to_string e))))
+
+let point = function
+  | Exact c -> c
+  | Interval { estimate; _ } -> estimate
+  | Failed _ -> Float.nan
 
 let releasable ~beta = function
   | Exact c -> if c > beta then `Release else `Withhold

@@ -1,28 +1,32 @@
-(** Graceful degradation ladder for confidence computation.
+(** The confidence ladder: the one way lineage is priced.
 
-    Exact confidence is #P-hard in general: {!Prob.exact} is exponential
-    in entangled lineage and an OBDD build can blow past any size cap.
-    For a bounded-latency deployment the engine needs a confidence
-    answer it can {e act on} even when the exact tiers are too
-    expensive — and the compliance contract (release iff confidence
-    strictly above β) must never be weakened by the approximation.
+    Exact confidence is #P-hard in general: an exact expansion is
+    exponential in entangled lineage and an OBDD build can blow past any
+    size cap.  The engine needs a confidence answer it can {e act on}
+    within a bounded amount of work, and the compliance contract
+    (release iff confidence strictly above β) must never be weakened by
+    the approximation.
 
     The ladder tries, in order:
 
+    + {b var} — single-tuple lineage: the base confidence itself;
     + {b read-once} — linear, exact ({!Prob.read_once});
-    + {b exact decomposition} — {!Prob.exact}, taken only when
-      {!Prob.shannon_cost_estimate} is small;
+    + {b circuit} — a d-DNNF {!Circuit}, taken only when
+      {!Prob.shannon_cost_estimate} is at most {!exact_threshold} (so
+      its compilation is bounded) and the build stays under the node
+      cap; bitwise equal to {!Prob.exact};
     + {b OBDD} — {!Bdd.of_formula} under [exact_node_cap]
       ({!Bdd.Size_cap_exceeded} aborts the build early);
     + {b Monte-Carlo} — an (ε, δ) estimate: with [samples_for mc] worlds
       a Hoeffding bound puts the true confidence inside
       [estimate ± mc.eps] with probability at least [1 - mc.delta].
 
-    The first three tiers return [Exact]; the Monte-Carlo tier returns
-    an [Interval] — the caller decides {e conservatively} (fail-closed):
+    The first four rungs return [Exact]; the Monte-Carlo rung returns an
+    [Interval] — the caller decides {e conservatively} (fail-closed):
     release only when the whole interval clears β, withhold when it
-    straddles.  If even sampling fails, [Failed] is returned and the
-    caller must withhold. *)
+    straddles.  If sampling fails, or the request's deadline expired
+    before a bounded rung could run, [Failed] is returned and the caller
+    must withhold. *)
 
 type estimate =
   | Exact of float  (** an exact tier answered *)
@@ -30,8 +34,9 @@ type estimate =
       (** Monte-Carlo: true confidence in [\[lo, hi\]] with probability
           [>= 1 - delta]; [estimate] is the point estimate. *)
   | Failed of string
-      (** no tier could answer (e.g. the sampler itself raised); the
-          caller must treat the tuple as not releasable *)
+      (** no rung could answer (the sampler raised, or the deadline
+          expired first); the caller must treat the tuple as not
+          releasable *)
 
 type mc = {
   eps : float;  (** interval half-width, in (0, 1) *)
@@ -49,48 +54,61 @@ val samples_for : mc -> int
     [\[1, samples_cap\]]. *)
 
 val exact_threshold : int
-(** {!Prob.exact} is attempted only when
-    [Prob.shannon_cost_estimate f <= exact_threshold]. *)
+(** The circuit rung is attempted only when
+    [Prob.shannon_cost_estimate f <= exact_threshold]: inside that gate
+    at most 12 variables repeat, so compilation nests at most 12
+    Shannon decisions. *)
 
-type tier = Var | Read_once | Shannon | Circuit | Obdd | Monte_carlo
-    (** the rung that actually answered, in ladder order.  [Var] is the
-        single-variable short circuit (a direct base-confidence lookup,
-        taken only when {!Circuit.enabled}); [Circuit] is reported by
-        callers that answered from a compiled {!Circuit} instead of
-        running a rung — {!confidence} itself never selects it. *)
+type tier = Var | Read_once | Circuit | Obdd | Monte_carlo
+    (** the rung that actually answered, in ladder order *)
 
 val tier_name : tier -> string
-(** Stable lower-snake name of a rung ([var], [read_once], [shannon],
-    [circuit], [obdd], [monte_carlo]) — used as the [ladder.<tier>]
+(** Stable lower-snake name of a rung ([var], [read_once], [circuit],
+    [obdd], [monte_carlo]) — used as the [ladder.<tier>]
     counter suffix by callers that account rung usage. *)
 
 val confidence :
   ?pool:Exec.Pool.t ->
   ?fork:Obs.task_ctx ->
+  ?deadline:Resilience.Deadline.t ->
   ?on_tier:(tier -> unit) ->
+  ?circuit:(Formula.t -> Circuit.t option) ->
   ?exact_node_cap:int ->
   ?mc:mc ->
   (Tid.t -> float) ->
   Formula.t ->
   estimate
-(** [confidence p f] runs the ladder.  When [f] is a single [Var] and
-    {!Circuit.enabled}[ ()], the [Var] short circuit answers with the
-    base confidence directly (bitwise the value the read-once rung
-    would compute) before any ladder setup.  [exact_node_cap] (default
-    [20_000]) bounds the OBDD tier's node allocations; [mc] (default
-    {!default_mc}) parameterizes the sampling tier.  The Monte-Carlo
-    seed is derived from [mc.seed] and {!Formula.hash}[ f], so the
-    estimate for a given formula is reproducible and independent of
-    evaluation order and of [pool].  Never raises: any exception from
-    the sampling tier is converted to [Failed].
+(** [confidence p f] runs the ladder.  [circuit] supplies the compiled
+    circuit of a class that reached the circuit rung, or [None] to skip
+    the rung (default: {!Circuit.compile_opt}, a fresh build per call) —
+    a cache passes its per-class table here so a circuit is built once
+    and re-evaluated under every later confidence vector.
+    [exact_node_cap] (default [20_000]) bounds the OBDD rung's node
+    allocations; [mc] (default {!default_mc}) parameterizes the sampling
+    rung.  The Monte-Carlo seed is derived from [mc.seed] and
+    {!Formula.hash}[ f], so the estimate for a given formula is
+    reproducible and independent of evaluation order and of [pool].
+    Never raises: any exception from the sampling rung is converted to
+    [Failed].
+
+    [deadline] (default {!Resilience.Deadline.never}) is checked before
+    the OBDD rung, before the Monte-Carlo rung and between sampling
+    chunks; an expired token yields [Failed "deadline"].  The first
+    three rungs are bounded by construction and never consult it.
 
     [on_tier] is called exactly once, with the rung selected to answer,
-    {e before} that rung runs (so a rung that subsequently raises still
-    reports — the [Failed] path counts under the rung that failed).
-    Observation-only: callers use it to bump [ladder.*] counters.
+    {e before} that rung's value is returned (a rung that fails — its
+    sampler raised, or the deadline expired — still reports, so the
+    [Failed] path counts under the rung that failed).  Observation-only:
+    callers use it to bump [ladder.*] counters.
 
     [fork] is passed through to {!Prob.monte_carlo} so sampling chunks
     appear as task spans under the caller's captured span. *)
+
+val point : estimate -> float
+(** The value to display: the exact value, an interval's point
+    estimate, or [nan] for [Failed].  Release decisions never use it
+    ({!releasable} does). *)
 
 val releasable : beta:float -> estimate -> [ `Release | `Withhold | `Ambiguous ]
 (** The fail-closed decision rule: [`Release] iff the estimate proves

@@ -13,50 +13,7 @@ exception Node_cap_exceeded
 
 let default_node_cap = 50_000
 
-(* --- kill switch ------------------------------------------------------ *)
-
-let forced : bool option ref = ref None
-let force b = forced := b
-
-let enabled () =
-  match !forced with
-  | Some b -> b
-  | None -> (
-    match Sys.getenv_opt "PCQE_CIRCUITS" with
-    | Some ("0" | "off" | "false" | "no") -> false
-    | Some _ | None -> true)
-
 (* --- compilation ------------------------------------------------------ *)
-
-(* Sibling-independence test and pivot choice, duplicated verbatim from
-   [Prob] (they are not exposed there).  Keeping them byte-identical is
-   load-bearing: the circuit must take the same decomposition at every
-   step [Prob.exact] would, or the float results drift. *)
-let shared_vars vars_of fs =
-  let seen = ref Tid.Set.empty and shared = ref Tid.Set.empty in
-  List.iter
-    (fun f ->
-      let vs = vars_of f in
-      shared := Tid.Set.union !shared (Tid.Set.inter !seen vs);
-      seen := Tid.Set.union !seen vs)
-    fs;
-  !shared
-
-let most_shared vars_of fs shared =
-  let best = ref None and best_count = ref 0 in
-  Tid.Set.iter
-    (fun v ->
-      let count =
-        List.fold_left
-          (fun acc f -> if Tid.Set.mem v (vars_of f) then acc + 1 else acc)
-          0 fs
-      in
-      if count > !best_count then begin
-        best := Some v;
-        best_count := count
-      end)
-    shared;
-  match !best with Some v -> v | None -> assert false
 
 let compile ?(node_cap = default_node_cap) f =
   let nodes = ref [] and count = ref 0 in
@@ -105,7 +62,7 @@ let compile ?(node_cap = default_node_cap) f =
         Formula.Table.add memo f id;
         id)
   and go_nary f fs =
-    let shared = shared_vars vars_of fs in
+    let shared = Prob.shared_vars vars_of fs in
     if Tid.Set.is_empty shared then begin
       (* decomposable: children are variable-disjoint, probabilities
          compose as products (complemented products for Or) *)
@@ -118,7 +75,7 @@ let compile ?(node_cap = default_node_cap) f =
     else begin
       (* deterministic decision: the two cofactors are mutually exclusive
          conditioned on the pivot, so the weighted sum is exact *)
-      let v = most_shared vars_of fs shared in
+      let v = Prob.most_shared vars_of fs shared in
       let f1 = Formula.restrict v true f and f0 = Formula.restrict v false f in
       let c1 = go f1 in
       let c0 = go f0 in

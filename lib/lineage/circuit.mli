@@ -8,15 +8,16 @@
     under new base confidences without touching the formula again.
 
     The compiler mirrors {!Prob.exact}'s recursion step for step: the same
-    independence test over sibling variable sets, the same most-shared
-    pivot choice, the same {!Formula.restrict} cofactors, and the same
-    structural memoization of repeated subformulas.  Because {!eval}
+    independence test and most-shared pivot choice (it calls
+    {!Prob.shared_vars} and {!Prob.most_shared}), the same
+    {!Formula.restrict} cofactors, and the same structural memoization of
+    repeated subformulas.  Because {!eval}
     performs the identical float operations in the identical order,
     [eval (compile f) p] is {e bitwise equal} to [Prob.exact p f] (and
     hence to [Prob.confidence p f], whose read-once fast path computes
-    the same products).  That equality is what lets the serving layer swap
-    circuits in for the ladder without changing a single released or
-    withheld decision.
+    the same products).  That equality is what lets the circuit stand as
+    the exact rung of {!Approx.confidence}'s ladder.  A read-once formula
+    compiles to pure products ({!decisions} [= 0]).
 
     Compilation explores the same expansion tree {!Prob.exact} would, so
     it is not cheaper than one exact evaluation — the win is amortized:
@@ -28,7 +29,7 @@ type t
 
 exception Node_cap_exceeded
 (** Raised by {!compile} when the circuit would exceed the node cap —
-    callers fall back to the existing Approx ladder. *)
+    the ladder then moves on to its OBDD rung. *)
 
 val default_node_cap : int
 (** Default bound on circuit nodes (50_000). *)
@@ -52,13 +53,3 @@ val size : t -> int
 val decisions : t -> int
 (** Number of Shannon decision nodes — 0 means the formula decomposed
     into pure independent products (it was effectively read-once). *)
-
-val enabled : unit -> bool
-(** Whether the circuit/safe-plan fast path is on.  Defaults to on;
-    set [PCQE_CIRCUITS=0] (or [off]/[false]/[no]) to disable, restoring
-    the pre-circuit ladder behavior exactly.  {!force} overrides. *)
-
-val force : bool option -> unit
-(** [force (Some b)] overrides {!enabled} to [b] regardless of the
-    environment; [force None] restores environment control.  For tests
-    and benchmarks. *)

@@ -108,19 +108,27 @@ let shannon_cost_estimate f =
   let repeated = Tid.Table.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) occ 0 in
   if repeated >= 60 then max_int / 2 else 1 lsl repeated
 
+exception Deadline_expired
+
 (* Sampling is chunked: the caller's generator is split into one child
    stream per fixed-size chunk up front, and both the sequential and the
    pooled path consume exactly those streams — so the estimate is a pure
    function of (seed, samples, chunk), never of the jobs count. *)
-let monte_carlo ?pool ?fork ?(chunk = 4096) rng ~samples p f =
+let monte_carlo ?pool ?fork ?(deadline = Resilience.Deadline.never)
+    ?(chunk = 4096) rng ~samples p f =
   if samples <= 0 then invalid_arg "Prob.monte_carlo: samples must be positive";
   if chunk <= 0 then invalid_arg "Prob.monte_carlo: chunk must be positive";
   let vars = Tid.Set.elements (Formula.vars f) in
   let num_chunks = (samples + chunk - 1) / chunk in
   let rngs = Prng.Splitmix.split_n rng num_chunks in
+  (* chaos-testable injection point, modelling the sampler being cut
+     off: chunk [ci] is hit [base + ci], whatever the pool's schedule *)
+  let chunk_fault =
+    Resilience.Fault.reserve Resilience.Fault.site_prob_mc num_chunks
+  in
   let run_chunk ci =
-    (* chaos-testable injection point: models the sampler being cut off *)
-    Resilience.Fault.hit Resilience.Fault.site_prob_mc;
+    if Resilience.Deadline.expired deadline then raise Deadline_expired;
+    chunk_fault ci;
     let rng = rngs.(ci) in
     let n = min chunk (samples - (ci * chunk)) in
     let world = Tid.Table.create (List.length vars) in

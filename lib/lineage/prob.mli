@@ -22,6 +22,20 @@ val read_once : (Tid.t -> float) -> Formula.t -> float
     Exact iff [f] is read-once (no variable repeated); callers must ensure
     this (see {!Formula.is_read_once}). *)
 
+val shared_vars : (Formula.t -> Tid.Set.t) -> Formula.t list -> Tid.Set.t
+(** [shared_vars vars_of fs] is the set of variables occurring in more
+    than one of the sibling subformulas [fs] ([vars_of] is the caller's,
+    typically memoized, variable-set function).  Empty iff the siblings
+    are independent and their probabilities compose directly. *)
+
+val most_shared :
+  (Formula.t -> Tid.Set.t) -> Formula.t list -> Tid.Set.t -> Tid.t
+(** [most_shared vars_of fs shared] picks the variable of the non-empty
+    [shared] that occurs in the most siblings (ties: the smallest) — the
+    Shannon pivot that maximally decouples the rest.  {!exact} and
+    {!Circuit.compile} share these two functions, so they take the same
+    decomposition at every step. *)
+
 val exact : (Tid.t -> float) -> Formula.t -> float
 (** [exact p f] computes the exact probability of [f].  Uses independent
     decomposition where sibling subformulas share no variables, and Shannon
@@ -33,9 +47,14 @@ val shannon_cost_estimate : Formula.t -> int
     where [s] is the number of variables occurring more than once).  Useful
     to decide between {!exact} and {!monte_carlo}. *)
 
+exception Deadline_expired
+(** Raised by {!monte_carlo} when its [deadline] has expired before a
+    chunk starts. *)
+
 val monte_carlo :
   ?pool:Exec.Pool.t ->
   ?fork:Obs.task_ctx ->
+  ?deadline:Resilience.Deadline.t ->
   ?chunk:int ->
   Prng.Splitmix.t ->
   samples:int ->
@@ -53,6 +72,10 @@ val monte_carlo :
     identical} at every parallelism level (including no pool at all) for
     a given seed and [chunk].  [p] is called concurrently under [pool]
     and must be pure.
+
+    [deadline] (default {!Resilience.Deadline.never}) is checked before
+    every chunk; once it has expired the call raises {!Deadline_expired}
+    instead of drawing further worlds.
 
     [fork] (an {!Obs.fork} capture taken while the caller's span is
     open) makes each chunk record an ["mc-chunk"] task span; the spans

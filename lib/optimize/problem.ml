@@ -34,10 +34,10 @@ type t = {
 
 (* Compile a formula into a closure over the level array.  Read-once
    formulas get a direct arithmetic tree; entangled ones are compiled once
-   into an OBDD whose probability evaluation is linear in the BDD size on
-   every call (the solvers re-evaluate the same lineage under thousands of
-   different assignments); pathological formulas whose BDD explodes fall
-   back to per-call Shannon expansion. *)
+   into a d-DNNF circuit, or failing that an OBDD, whose evaluation is
+   linear in its size on every call (the solvers re-evaluate the same
+   lineage under thousands of different assignments); pathological
+   formulas whose BDD explodes fall back to per-call Shannon expansion. *)
 let bdd_size_cap = 10_000
 
 (* Allocation headroom for the OBDD build: the construction may allocate
@@ -104,11 +104,8 @@ let compile base_index formula =
        allocates its scratch per call, so concurrent probes from a
        pooled solver are safe — matching the per-call allocation of
        [Bdd.prob] and the Shannon closure.  A node-cap overflow falls
-       back to the OBDD/Shannon pair exactly as before. *)
-    match
-      if Lineage.Circuit.enabled () then Lineage.Circuit.compile_opt formula
-      else None
-    with
+       back to the OBDD/Shannon pair. *)
+    match Lineage.Circuit.compile_opt formula with
     | Some c ->
       ((fun levels -> Lineage.Circuit.eval c (lookup levels)), "circuit")
     | None -> obdd_or_shannon ()
@@ -260,7 +257,7 @@ let make_exn ?delta ?incremental ~beta ~required ~bases ~formulas () =
   | Ok t -> t
   | Error msg -> invalid_arg ("Problem.make: " ^ msg)
 
-let of_query_results ?delta ?incremental ?required ?conf_of ~theta ~beta
+let of_query_results ?delta ?incremental ?required ~released ~theta ~beta
     ~cost_of ~cap_of db (res : Relational.Eval.annotated) =
   let* () =
     if not (theta >= 0.0 && theta <= 1.0) then
@@ -269,19 +266,17 @@ let of_query_results ?delta ?incremental ?required ?conf_of ~theta ~beta
   in
   let rows = Array.of_list res.Relational.Eval.rows in
   let n = Array.length rows in
-  let conf_of row =
-    match conf_of with
-    | Some conf -> conf row.Relational.Eval.lineage
-    | None ->
-      Lineage.Prob.confidence
-        (Relational.Database.confidence_fn db)
-        row.Relational.Eval.lineage
+  let* () =
+    if Array.length released = n then Ok ()
+    else
+      Error
+        (Printf.sprintf "%d release verdicts for %d rows"
+           (Array.length released) n)
   in
   let failing = ref [] and satisfied = ref 0 in
   Array.iteri
-    (fun i row ->
-      if conf_of row > beta then incr satisfied else failing := i :: !failing)
-    rows;
+    (fun i ok -> if ok then incr satisfied else failing := i :: !failing)
+    released;
   let failing = List.rev !failing in
   let required =
     match required with

@@ -62,7 +62,7 @@ val of_query_results :
   ?delta:float ->
   ?incremental:bool ->
   ?required:int ->
-  ?conf_of:(Lineage.Formula.t -> float) ->
+  released:bool array ->
   theta:float ->
   beta:float ->
   cost_of:(Lineage.Tid.t -> Cost.Cost_model.t) ->
@@ -70,21 +70,17 @@ val of_query_results :
   Relational.Database.t ->
   Relational.Eval.annotated ->
   (t * int list, string) result
-(** [of_query_results ~theta ~beta ~cost_of ~cap_of db res] builds the
-    instance the policy-evaluation component hands to strategy finding:
-    results of [res] with confidence <= β become the instance's intermediate
-    results; [required] defaults to [⌈θ*n⌉ - satisfied] where [n] counts all
-    results (the paper's [(θ - θ′)*n]), clamped to the number of failing
-    results.  Also returns the indices (into [res.rows]) of the failing
-    rows, in instance order.
-
-    [conf_of] overrides how each row's current confidence is obtained
-    (default: {!Lineage.Prob.confidence} against [db]) — the serving
-    pipeline passes its per-epoch confidence-cache lookup here so
-    problem construction reuses the values the policy filter just
-    computed.  The override must return exactly what the default would
-    (it is a cache, not an approximation); feasibility classification
-    depends on it. *)
+(** [of_query_results ~released ~theta ~beta ~cost_of ~cap_of db res]
+    builds the instance the policy-evaluation component hands to
+    strategy finding.  [released.(i)] is the policy filter's verdict on
+    row [i] of [res] (confidence proven strictly above β); the rows it
+    did not release become the instance's intermediate results — no row
+    is priced again here.  [required] defaults to
+    [⌈θ*n⌉ - satisfied] where [n] counts all results (the paper's
+    [(θ - θ′)*n]), clamped to the number of failing results.  Also
+    returns the indices (into [res.rows]) of the failing rows, in
+    instance order.  Errors when [released] is not index-aligned with
+    the rows. *)
 
 (** {1 Accessors} *)
 
@@ -140,9 +136,8 @@ val dedup_formulas : t -> int
 val evaluator_kind : t -> int -> string
 (** [evaluator_kind t cid] names the compiled evaluator backing class
     [cid] — ["read_once"], ["circuit"], ["obdd"] or ["shannon"] —
-    observability for the bench panel and tests.  ["circuit"] appears
-    only when {!Lineage.Circuit.enabled} held at {!make} time and the
-    class compiled within the node cap. *)
+    observability for the bench panel and tests.  A non-read-once class
+    is ["circuit"] whenever it compiles within the node cap. *)
 
 val eval_class : t -> float array -> int -> float
 (** [eval_class t levels cid] evaluates one class's compiled formula over

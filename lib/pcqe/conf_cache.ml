@@ -2,16 +2,13 @@ module Db = Relational.Database
 module F = Lineage.Formula
 module Tid = Lineage.Tid
 
-type value = Exact of float | Estimate of Lineage.Approx.estimate
-
 type t = {
   max_entries : int;
   mutable epochs : int array;
       (* per-shard synced confidence epochs, index-aligned with the
          database's shard numbers; [[||]] until the first sync adopts a
          shard layout *)
-  exact : float F.Table.t;
-  ladder : Lineage.Approx.estimate F.Table.t;
+  values : Lineage.Approx.estimate F.Table.t;
   circuits : Lineage.Circuit.t F.Table.t;
       (* compiled d-DNNF per class: structure-only, so confidence-epoch
          invalidation drops the cached *values* above but keeps the
@@ -29,8 +26,7 @@ let create ?(max_entries = 65_536) () =
   {
     max_entries;
     epochs = [||];
-    exact = F.Table.create 256;
-    ladder = F.Table.create 64;
+    values = F.Table.create 256;
     circuits = F.Table.create 64;
     by_base = Hashtbl.create 256;
     reused = 0;
@@ -39,16 +35,14 @@ let create ?(max_entries = 65_536) () =
   }
 
 let synced_epochs t = Array.copy t.epochs
-let length t = F.Table.length t.exact + F.Table.length t.ladder
-let mem_exact t f = F.Table.mem t.exact f
-let mem_estimate t f = F.Table.mem t.ladder f
+let length t = F.Table.length t.values
+let mem t f = F.Table.mem t.values f
 let reused t = t.reused
 let recomputed t = t.recomputed
 let invalidated t = t.invalidated
 
 let clear t =
-  F.Table.reset t.exact;
-  F.Table.reset t.ladder;
+  F.Table.reset t.values;
   F.Table.reset t.circuits;
   Hashtbl.reset t.by_base
 
@@ -64,10 +58,8 @@ let invalidate_bases ?obs t dirty =
       | Some formulas ->
         List.iter
           (fun f ->
-            let present = F.Table.mem t.exact f || F.Table.mem t.ladder f in
-            if present then begin
-              F.Table.remove t.exact f;
-              F.Table.remove t.ladder f;
+            if F.Table.mem t.values f then begin
+              F.Table.remove t.values f;
               incr dropped
             end)
           !formulas;
@@ -134,125 +126,74 @@ let index t f =
       | None -> Hashtbl.replace t.by_base tid (ref [ f ]))
     (F.vars f)
 
-let store t f value =
-  if length t >= t.max_entries then clear t;
-  (match value with
-  | Exact c -> F.Table.replace t.exact f c
-  | Estimate e -> F.Table.replace t.ladder f e);
-  index t f
+(* Only answers are cached.  A [Failed] estimate is about the request
+   that priced it (its deadline ran out, its sampler was cut off), not
+   about the class, so the next request prices the class afresh. *)
+let store t f (e : Lineage.Approx.estimate) =
+  match e with
+  | Failed _ -> ()
+  | Exact _ | Interval _ ->
+    if length t >= t.max_entries then clear t;
+    F.Table.replace t.values f e;
+    index t f
 
-(* Circuits answer exactly where the ladder would take the Shannon rung
-   ([Prob.exact]): non-read-once lineage below the expansion-cost cap.
-   On that domain the circuit value is bitwise [Prob.exact]'s, so the
-   identity contract holds; the OBDD and Monte-Carlo rungs (different
-   float expressions) are never displaced. *)
-let circuit_eligible f =
-  (not (F.is_read_once f))
-  && Lineage.Prob.shannon_cost_estimate f <= Lineage.Approx.exact_threshold
-
-(* Compile-or-reuse the class circuit and evaluate it under [db]'s
-   current confidence vector.  [None] when the circuit path is off, the
-   class is outside the exactness domain, or the build hit the node cap
-   (counted as [ladder.circuit_fallback] — the ladder takes over). *)
-let circuit_value ?obs t ~db f =
-  if not (Lineage.Circuit.enabled () && circuit_eligible f) then None
-  else
-    let eval c =
-      Some (Lineage.Circuit.eval c (Db.confidence_fn db))
-    in
-    match F.Table.find_opt t.circuits f with
+(* The ladder's circuit rung, backed by the per-class table: compile a
+   class once and re-evaluate it under every later confidence vector
+   (counted as [ladder.circuit_build] / [ladder.circuit_reeval]; a
+   node-cap overflow counts [ladder.circuit_fallback] and the ladder
+   moves on to its OBDD rung). *)
+let circuit ?obs t f =
+  match F.Table.find_opt t.circuits f with
+  | Some c ->
+    Obs.incr obs "ladder.circuit_reeval";
+    Some c
+  | None -> (
+    match Lineage.Circuit.compile_opt f with
     | Some c ->
-      Obs.incr obs "ladder.circuit_reeval";
-      eval c
-    | None -> (
-      match Lineage.Circuit.compile_opt f with
-      | Some c ->
-        if F.Table.length t.circuits >= t.max_entries then
-          F.Table.reset t.circuits;
-        F.Table.replace t.circuits f c;
-        Obs.incr obs "ladder.circuit_build";
-        eval c
-      | None ->
-        Obs.incr obs "ladder.circuit_fallback";
-        None)
+      if F.Table.length t.circuits >= t.max_entries then
+        F.Table.reset t.circuits;
+      F.Table.replace t.circuits f c;
+      Obs.incr obs "ladder.circuit_build";
+      Some c
+    | None ->
+      Obs.incr obs "ladder.circuit_fallback";
+      None)
 
-let confidence_tiered ?obs t ~db f =
+let confidence ?obs ?pool ?deadline
+    ?(on_tier = fun (_ : Lineage.Approx.tier) -> ()) t ~db f =
   match f with
-  | F.Var v when Lineage.Circuit.enabled () ->
+  | F.Var v ->
     (* single-tuple lineage: the answer is one base-confidence lookup —
        no sync, no class bookkeeping *)
-    (Db.confidence db v, "var")
-  | _ -> (
-    sync ?obs t ~db;
-    match F.Table.find_opt t.exact f with
-    | Some c ->
-      t.reused <- t.reused + 1;
-      Obs.incr obs "serving.reused_classes";
-      (c, "cached")
-    | None ->
-      let c, tier =
-        match circuit_value ?obs t ~db f with
-        | Some c -> (c, "circuit")
-        | None ->
-          let c = Lineage.Prob.confidence (Db.confidence_fn db) f in
-          (c, if F.is_read_once f then "read_once" else "shannon")
-      in
-      store t f (Exact c);
-      t.recomputed <- t.recomputed + 1;
-      Obs.incr obs "serving.recomputed_classes";
-      (c, tier))
-
-let confidence ?obs t ~db f = fst (confidence_tiered ?obs t ~db f)
-
-let estimate_tiered ?obs ?pool ?(on_tier = fun (_ : Lineage.Approx.tier) -> ())
-    t ~db f =
-  match f with
-  | F.Var v when Lineage.Circuit.enabled () ->
     on_tier Lineage.Approx.Var;
     (Lineage.Approx.Exact (Db.confidence db v), "var")
   | _ -> (
     sync ?obs t ~db;
-    match F.Table.find_opt t.ladder f with
+    match F.Table.find_opt t.values f with
     | Some e ->
       t.reused <- t.reused + 1;
       Obs.incr obs "serving.reused_classes";
       (e, "cached")
     | None ->
-      let e, tier =
-        match circuit_value ?obs t ~db f with
-        | Some c ->
-          on_tier Lineage.Approx.Circuit;
-          (Lineage.Approx.Exact c, "circuit")
-        | None ->
-          let name = ref "" in
-          let e =
-            Lineage.Approx.confidence ?pool
-              ~on_tier:(fun rung ->
-                name := Lineage.Approx.tier_name rung;
-                on_tier rung)
-              (Db.confidence_fn db) f
-          in
-          (e, !name)
+      let name = ref "" in
+      let e =
+        Lineage.Approx.confidence ?pool ?deadline ~circuit:(circuit ?obs t)
+          ~on_tier:(fun rung ->
+            name := Lineage.Approx.tier_name rung;
+            on_tier rung)
+          (Db.confidence_fn db) f
       in
-      store t f (Estimate e);
+      store t f e;
       t.recomputed <- t.recomputed + 1;
       Obs.incr obs "serving.recomputed_classes";
-      (e, tier))
-
-let estimate ?obs ?pool ?on_tier t ~db f =
-  fst (estimate_tiered ?obs ?pool ?on_tier t ~db f)
+      (e, !name))
 
 let warm ?obs t ~db entries =
   sync ?obs t ~db;
   List.iter
-    (fun (f, value) ->
-      let present =
-        match value with
-        | Exact _ -> F.Table.mem t.exact f
-        | Estimate _ -> F.Table.mem t.ladder f
-      in
-      if not present then begin
-        store t f value;
+    (fun (f, e) ->
+      if not (F.Table.mem t.values f) then begin
+        store t f e;
         t.recomputed <- t.recomputed + 1;
         Obs.incr obs "serving.recomputed_classes"
       end)

@@ -24,82 +24,60 @@
     returns a confidence computed from a stale vector; property tests
     pin warm results bit-identical to cold recomputation.
 
-    Exact confidences ({!confidence}) and degradation-ladder estimates
-    ({!estimate}) live in separate tables: the two modes answer
-    different questions for entangled lineage, and a request must never
-    observe the other mode's value.  Hits count
-    [serving.reused_classes], misses [serving.recomputed_classes]. *)
-
-type value = Exact of float | Estimate of Lineage.Approx.estimate
+    Values are the ladder's estimates ({!Lineage.Approx.confidence});
+    the cache also keeps each class's compiled d-DNNF circuit across
+    confidence epochs, so an invalidated class is re-priced by one
+    linear pass.  Hits count [serving.reused_classes], misses
+    [serving.recomputed_classes]. *)
 
 type t
 
 val create : ?max_entries:int -> unit -> t
-(** [max_entries] (default 65 536, counting both tables) bounds memory:
-    reaching it flushes the cache wholesale before the next store.
+(** [max_entries] (default 65 536) bounds memory: reaching it flushes
+    the cache wholesale before the next store.
     @raise Invalid_argument when [max_entries < 1]. *)
 
 val confidence :
-  ?obs:Obs.t -> t -> db:Relational.Database.t -> Lineage.Formula.t -> float
-(** The exact confidence of the formula under [db]'s confidence vector —
-    cached, or computed via {!Lineage.Prob.confidence} (the cold path's
-    evaluator) and stored.  With the circuit fast path on
-    ({!Lineage.Circuit.enabled}), two shortcuts apply, both bitwise
-    value-preserving: a single-[Var] formula answers with one
-    base-confidence lookup (tier ["var"], no cache traffic), and a
-    non-read-once class inside the Shannon exactness domain evaluates a
-    compiled d-DNNF circuit — built once per class, kept across
-    confidence epochs, re-evaluated in one linear pass (counted as
-    [ladder.circuit_build] / [ladder.circuit_reeval]; a node-cap
-    overflow counts [ladder.circuit_fallback] and the ladder answers). *)
-
-val confidence_tiered :
-  ?obs:Obs.t ->
-  t ->
-  db:Relational.Database.t ->
-  Lineage.Formula.t ->
-  float * string
-(** {!confidence} plus the tier label that produced the value — ["var"],
-    ["cached"], ["circuit"], ["read_once"] or ["shannon"] — for
-    per-tuple auditability ([pcqe explain]). *)
-
-val estimate :
   ?obs:Obs.t ->
   ?pool:Exec.Pool.t ->
-  ?on_tier:(Lineage.Approx.tier -> unit) ->
-  t ->
-  db:Relational.Database.t ->
-  Lineage.Formula.t ->
-  Lineage.Approx.estimate
-(** Ladder ({!Lineage.Approx.confidence}) analogue of {!confidence}, for
-    the [mc_fallback] path.  Estimates are reproducible per formula
-    (the Monte-Carlo seed derives from the formula hash), so a cached
-    estimate is bit-identical to recomputation — with or without
-    [pool].  [on_tier] fires only on a miss (the rung that answered a
-    cached class was already reported when it was computed).  The same
-    [var] and circuit shortcuts as {!confidence} apply when
-    {!Lineage.Circuit.enabled}; the circuit displaces only the Shannon
-    rung (whose value it reproduces bitwise) and reports
-    [on_tier Circuit]. *)
-
-val estimate_tiered :
-  ?obs:Obs.t ->
-  ?pool:Exec.Pool.t ->
+  ?deadline:Resilience.Deadline.t ->
   ?on_tier:(Lineage.Approx.tier -> unit) ->
   t ->
   db:Relational.Database.t ->
   Lineage.Formula.t ->
   Lineage.Approx.estimate * string
-(** {!estimate} plus the tier label ( ["var"], ["cached"], ["circuit"],
-    or the ladder rung name) that produced the value. *)
+(** The ladder's estimate for the formula under [db]'s confidence
+    vector, plus the label of the tier that produced it — ["var"],
+    ["cached"], or the rung name — for per-tuple auditability
+    ([pcqe explain]).  A single-[Var] formula answers with one
+    base-confidence lookup (tier ["var"], no cache traffic).  Otherwise
+    the value is cached, or computed by {!Lineage.Approx.confidence}
+    and stored; its circuit rung compiles a class once and re-evaluates
+    it under every later vector ([ladder.circuit_build] /
+    [ladder.circuit_reeval]; a node-cap overflow counts
+    [ladder.circuit_fallback] and the ladder moves on).  Estimates are
+    reproducible per formula (the Monte-Carlo seed derives from the
+    formula hash), so a cached estimate is bit-identical to
+    recomputation — with or without [pool].  A [Failed] estimate (the
+    [deadline] expired, the sampler raised) is returned but never
+    stored.  [on_tier] fires for the [var] shortcut and on a miss (the
+    rung that answered a cached class was reported when it was
+    computed). *)
+
+val circuit : ?obs:Obs.t -> t -> Lineage.Formula.t -> Lineage.Circuit.t option
+(** The class's compiled circuit: built on first request and kept across
+    confidence epochs ([None] past the node cap).  {!confidence} prices
+    its circuit rung through it; pass it as
+    {!Lineage.Approx.confidence}'s [circuit] to price a class under
+    another confidence vector without recompiling. *)
 
 val warm :
   ?obs:Obs.t ->
   t ->
   db:Relational.Database.t ->
-  (Lineage.Formula.t * value) list ->
+  (Lineage.Formula.t * Lineage.Approx.estimate) list ->
   unit
-(** Install precomputed values (e.g. computed in parallel over an
+(** Install precomputed estimates (e.g. computed in parallel over an
     {!Exec.Pool} by the batch stage) for formulas not already cached.
     Each install counts as a recompute; the values must have been
     computed against [db]'s current confidence vector. *)
@@ -123,13 +101,10 @@ val shard_sizes : t -> shards:int -> int array
 
 val length : t -> int
 
-val mem_exact : t -> Lineage.Formula.t -> bool
-(** Whether the exact table holds the formula's class.  Does {e not}
-    {!sync} — callers deciding what to prewarm must sync first so the
-    answer reflects the live confidence epoch. *)
-
-val mem_estimate : t -> Lineage.Formula.t -> bool
-(** {!mem_exact} for the degradation-ladder table. *)
+val mem : t -> Lineage.Formula.t -> bool
+(** Whether the cache holds the formula's class.  Does {e not} {!sync}
+    — callers deciding what to prewarm must sync first so the answer
+    reflects the live confidence epoch. *)
 
 val reused : t -> int
 (** Total cache hits (classes whose confidence was reused). *)

@@ -12,16 +12,15 @@ type context = {
   delta : float;
   jobs : int;
   deadline : Resilience.Deadline.spec;
-  mc_fallback : bool;
   obs : Obs.t option;
   caches : Caches.t option;
   profile : bool;
 }
 
 let make_context ?(solver = Optimize.Solver.divide_conquer) ?(delta = 0.1)
-    ?jobs ?(deadline = Resilience.Deadline.No_deadline) ?(mc_fallback = false)
-    ?cost_of ?cap_of ?(views = Relational.Views.empty) ?obs ?caches
-    ?(profile = false) ~db ~rbac ~policies () =
+    ?jobs ?(deadline = Resilience.Deadline.No_deadline) ?cost_of ?cap_of
+    ?(views = Relational.Views.empty) ?obs ?caches ?(profile = false) ~db ~rbac
+    ~policies () =
   let default_cost = Cost.Cost_model.linear ~rate:100.0 in
   {
     db;
@@ -34,7 +33,6 @@ let make_context ?(solver = Optimize.Solver.divide_conquer) ?(delta = 0.1)
     delta;
     jobs = Exec.resolve_jobs ?jobs ();
     deadline;
-    mc_fallback;
     obs;
     caches;
     profile;
@@ -73,12 +71,6 @@ type response = {
   degraded : string option;
   profile : Obs.Profile.t option;
 }
-
-(* point value used for display; release decisions never use it *)
-let point_estimate = function
-  | Lineage.Approx.Exact c -> c
-  | Lineage.Approx.Interval { estimate; _ } -> estimate
-  | Lineage.Approx.Failed _ -> Float.nan
 
 let ( let* ) = Result.bind
 
@@ -144,8 +136,8 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
       let with_conf =
         Obs.span obs "confidence" (fun () ->
             (* rung accounting: one [ladder.<tier>] tick per class actually
-               run through the degradation ladder (cache hits don't
-               re-count the rung that originally answered) *)
+               run through the ladder (cache hits don't re-count the rung
+               that originally answered) *)
             let on_tier tier =
               Obs.incr obs ("ladder." ^ Lineage.Approx.tier_name tier)
             in
@@ -160,58 +152,32 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
               List.mapi
                 (fun i r -> (r, Lineage.Approx.Exact confs.(i), "safe_plan"))
                 res.Relational.Eval.rows
-            | None -> (
-              match ctx.caches with
-              | Some caches ->
-                (* per-epoch confidence cache: one computation per distinct
-                   lineage class, bit-identical to the cold paths below *)
-                let cache = Caches.conf caches in
-                if ctx.mc_fallback then
-                  List.map
-                    (fun r ->
-                      let est, tier =
-                        Conf_cache.estimate_tiered ?obs ~on_tier cache
-                          ~db:ctx.db r.Relational.Eval.lineage
-                      in
-                      (r, est, tier))
-                    res.Relational.Eval.rows
-                else
-                  List.map
-                    (fun r ->
-                      let c, tier =
-                        Conf_cache.confidence_tiered ?obs cache ~db:ctx.db
-                          r.Relational.Eval.lineage
-                      in
-                      (r, Lineage.Approx.Exact c, tier))
-                    res.Relational.Eval.rows
-              | None ->
-                if ctx.mc_fallback then
-                  (* degradation ladder: exact tiers when cheap, Monte-Carlo
-                     intervals when the lineage is too entangled *)
-                  let p = Db.confidence ctx.db in
-                  List.map
-                    (fun r ->
-                      let name = ref "" in
-                      let est =
-                        Lineage.Approx.confidence
-                          ~on_tier:(fun tier ->
-                            name := Lineage.Approx.tier_name tier;
-                            on_tier tier)
-                          p r.Relational.Eval.lineage
-                      in
-                      (r, est, !name))
-                    res.Relational.Eval.rows
-                else
-                  List.map
-                    (fun (r, c) ->
-                      let tier =
-                        if
-                          Lineage.Formula.is_read_once r.Relational.Eval.lineage
-                        then "read_once"
-                        else "shannon"
-                      in
-                      (r, Lineage.Approx.Exact c, tier))
-                    (Relational.Eval.with_confidence ctx.db res)))
+            | None ->
+              let price =
+                match ctx.caches with
+                | Some caches ->
+                  (* per-epoch confidence cache: one computation per
+                     distinct lineage class, bit-identical to the ladder *)
+                  Conf_cache.confidence ?obs ~deadline ~on_tier
+                    (Caches.conf caches) ~db:ctx.db
+                | None ->
+                  let p = Db.confidence_fn ctx.db in
+                  fun f ->
+                    let name = ref "" in
+                    let est =
+                      Lineage.Approx.confidence ~deadline
+                        ~on_tier:(fun tier ->
+                          name := Lineage.Approx.tier_name tier;
+                          on_tier tier)
+                        p f
+                    in
+                    (est, !name)
+              in
+              List.map
+                (fun r ->
+                  let est, tier = price r.Relational.Eval.lineage in
+                  (r, est, tier))
+                res.Relational.Eval.rows)
       in
       (* (3) policy evaluation: select the policy by role and purpose *)
       let applied_policies =
@@ -226,7 +192,7 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
               {
                 tuple = r.Relational.Eval.tuple;
                 lineage = r.Relational.Eval.lineage;
-                confidence = point_estimate est;
+                confidence = Lineage.Approx.point est;
                 conf_tier = tier;
               }
             in
@@ -276,18 +242,17 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
         match threshold with
         | Some beta when List.length released < need && withheld > 0 ->
           Obs.span obs "strategy-finding" (fun () ->
-              (* problem construction re-derives every row's current
-                 confidence; with serving caches it reuses the classes the
-                 policy filter just computed (or stored) instead *)
-              let conf_of =
-                Option.map
-                  (fun caches f ->
-                    Conf_cache.confidence ?obs (Caches.conf caches) ~db:ctx.db
-                      f)
-                  ctx.caches
+              (* the instance is built from the policy filter's verdicts:
+                 no row is priced twice *)
+              let released =
+                Array.of_list
+                  (List.map
+                     (fun (_, est, _) ->
+                       Lineage.Approx.releasable ~beta est = `Release)
+                     with_conf)
               in
               let* problem, _failing =
-                Optimize.Problem.of_query_results ?conf_of ~delta:ctx.delta
+                Optimize.Problem.of_query_results ~released ~delta:ctx.delta
                   ~theta:perc ~beta ~cost_of:ctx.cost_of ~cap_of:ctx.cap_of
                   ctx.db res
               in
@@ -320,15 +285,23 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
                   | Some target -> Float.max current target
                   | None -> current
                 in
+                (* with serving caches, the classes' circuits compiled by
+                   the confidence stage re-price them in one linear pass *)
+                let circuit =
+                  Option.map
+                    (fun caches -> Conf_cache.circuit ?obs (Caches.conf caches))
+                    ctx.caches
+                in
                 let projected_release =
                   List.fold_left
                     (fun acc row ->
-                      if
-                        Lineage.Prob.confidence conf_after
-                          row.Relational.Eval.lineage
-                        > beta
-                      then acc + 1
-                      else acc)
+                      match
+                        Lineage.Approx.releasable ~beta
+                          (Lineage.Approx.confidence ?circuit conf_after
+                             row.Relational.Eval.lineage)
+                      with
+                      | `Release -> acc + 1
+                      | `Withhold | `Ambiguous -> acc)
                     0 res.Relational.Eval.rows
                 in
                 Obs.add_attr obs "solver"
@@ -552,11 +525,10 @@ module Session = struct
                   List.iter
                     (fun r ->
                       let f = r.Relational.Eval.lineage in
-                      let cached =
-                        if ctx.mc_fallback then Conf_cache.mem_estimate conf f
-                        else Conf_cache.mem_exact conf f
-                      in
-                      if not (cached || Lineage.Formula.Table.mem fresh f)
+                      if
+                        not
+                          (Conf_cache.mem conf f
+                          || Lineage.Formula.Table.mem fresh f)
                       then Lineage.Formula.Table.add fresh f ())
                     res.Relational.Eval.rows)
           (List.rev !order);
@@ -575,16 +547,11 @@ module Session = struct
             ~attrs:[ ("class", string_of_int i) ]
             "prewarm-class"
             (fun _ ->
-              if ctx.mc_fallback then begin
-                let tier = ref None in
-                let e =
-                  Lineage.Approx.confidence
-                    ~on_tier:(fun rung -> tier := Some rung)
-                    p f
-                in
-                ((f, Conf_cache.Estimate e), !tier)
-              end
-              else ((f, Conf_cache.Exact (Lineage.Prob.confidence p f)), None))
+              let tier = ref Lineage.Approx.Var in
+              let e =
+                Lineage.Approx.confidence ~on_tier:(fun rung -> tier := rung) p f
+              in
+              ((f, e), !tier))
         in
         let outs =
           if Array.length distinct = 0 then [||]
@@ -596,11 +563,8 @@ module Session = struct
         in
         Obs.stitch fork (Array.map snd outs);
         Array.iter
-          (fun ((_, tier), _) ->
-            match tier with
-            | Some rung ->
-              Obs.incr obs ("ladder." ^ Lineage.Approx.tier_name rung)
-            | None -> ())
+          (fun ((_, rung), _) ->
+            Obs.incr obs ("ladder." ^ Lineage.Approx.tier_name rung))
           outs;
         let values = Array.map (fun ((fv, _), _) -> fv) outs in
         Conf_cache.warm ?obs conf ~db:ctx.db (Array.to_list values);

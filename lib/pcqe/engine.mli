@@ -29,18 +29,14 @@ type context = {
           Outcomes are bit-identical at every level (see {!Exec}). *)
   deadline : Resilience.Deadline.spec;
       (** per-answer budget.  A fresh token is started for every
-          {!answer}; a wall budget covers evaluation {e and} strategy
-          finding, so the solver gets whatever remains.  On expiry the
+          {!answer}; a wall budget covers evaluation, confidence {e and}
+          strategy finding, so the solver gets whatever remains.  In the
+          confidence stage an expired token fails the ladder's bounded
+          rungs closed (the tuple is withheld and counted in
+          [resilience.confidence_failures]); in strategy finding the
           solver returns its best-so-far {e feasible} proposal and the
           response reports [degraded].  [No_deadline] (the default) is
           unbounded. *)
-  mc_fallback : bool;
-      (** confidence degradation ladder: compute per-result confidence
-          with {!Lineage.Approx.confidence} (exact tiers first,
-          Monte-Carlo intervals when the lineage is too entangled) and
-          release {e fail-closed} — a tuple whose interval straddles the
-          threshold is withheld and counted in [response.ambiguous].
-          Off by default: exact confidence for every result. *)
   obs : Obs.t option;
       (** observability handle; [None] (the default) disables tracing and
           metrics entirely — the engine then allocates no spans *)
@@ -68,7 +64,6 @@ val make_context :
   ?delta:float ->
   ?jobs:int ->
   ?deadline:Resilience.Deadline.spec ->
-  ?mc_fallback:bool ->
   ?cost_of:(Lineage.Tid.t -> Cost.Cost_model.t) ->
   ?cap_of:(Lineage.Tid.t -> float) ->
   ?views:Relational.Views.t ->
@@ -81,8 +76,7 @@ val make_context :
   unit ->
   context
 (** Defaults: divide-and-conquer solver, δ = 0.1, linear cost of rate 100,
-    cap 1.0 for every tuple, no deadline, exact confidence (no
-    Monte-Carlo fallback), observability off.
+    cap 1.0 for every tuple, no deadline, observability off.
 
     [jobs] resolves via {!Exec.resolve_jobs}: an explicit value wins
     ([0] = one per core), then the [PCQE_JOBS] environment variable,
@@ -101,9 +95,9 @@ type released = {
   confidence : float;
   conf_tier : string;
       (** which confidence tier produced [confidence] — ["safe_plan"],
-          ["var"], ["circuit"], ["cached"], or a ladder rung name
-          ([read_once], [shannon], [obdd], [monte_carlo]) — so degraded
-          vs. exact answers are auditable per tuple *)
+          ["cached"], or a ladder rung name ([var], [read_once],
+          [circuit], [obdd], [monte_carlo]) — so degraded vs. exact
+          answers are auditable per tuple *)
 }
 
 type proposal = {
@@ -129,8 +123,7 @@ type response = {
   withheld : int;  (** results filtered out by the policy *)
   ambiguous : int;
       (** of [withheld]: results whose Monte-Carlo confidence interval
-          straddles the threshold — withheld fail-closed (only nonzero
-          with [mc_fallback]) *)
+          straddles the threshold — withheld fail-closed *)
   requested : int;
       (** ⌈perc · n⌉ — how many results the request needs released; computed
           once here so callers and reports never redo the ceil *)
@@ -188,8 +181,8 @@ val accept_proposal : context -> proposal -> context
     {!Session.accept_proposal} recompute only the lineage classes the
     accepted increments dirtied (the rest are served from the per-epoch
     confidence cache).  Answers are bit-identical to cold
-    {!val-answer} calls — property-tested across solvers, jobs levels,
-    deadlines and the Monte-Carlo fallback. *)
+    {!val-answer} calls — property-tested across solvers, jobs levels
+    and deadlines. *)
 
 module Session : sig
   type t

@@ -73,16 +73,16 @@ let row_confs db (res : Relational.Eval.annotated) =
   Array.of_list
     (List.map
        (fun (r : Relational.Eval.row) ->
-         Lineage.Prob.confidence p r.Relational.Eval.lineage)
+         Lineage.Prob.read_once p r.Relational.Eval.lineage)
        res.Relational.Eval.rows)
 
-(* [eval] plus safe-plan confidences.  For a safe plan (with the circuit
-   fast path on), the cold evaluation computes confidences during batch
-   evaluation ([Sharded.run_conf]); memo hits whose confidence vector
-   moved refresh them with one linear read-once pass over the memoized
-   rows. [None] confidences mean the caller runs the ladder as before. *)
+(* [eval] plus safe-plan confidences.  For a safe plan the cold
+   evaluation computes confidences during batch evaluation
+   ([Sharded.run_conf]); memo hits whose confidence vector moved refresh
+   them with one linear read-once pass over the memoized rows. [None]
+   confidences mean the caller runs the ladder. *)
 let eval_conf ?obs ?pool t ~db =
-  if not (t.safe && Lineage.Circuit.enabled ()) then
+  if not t.safe then
     let* res = eval ?obs ?pool t ~db in
     Ok (res, None)
   else
@@ -99,13 +99,9 @@ let eval_conf ?obs ?pool t ~db =
     | _ -> (
       let* res, confs = Relational.Sharded.run_conf ?pool db t.plan in
       t.evaluated <- Some (sv, res);
-      match confs with
-      | Some confs ->
-        t.confs <- Some (cv, confs);
-        Ok (res, Some confs)
-      | None ->
-        (* [run_conf] re-checks the kill switch; if it flipped between
-           our check and the run, recompute inline for consistency *)
-        let confs = row_confs db res in
-        t.confs <- Some (cv, confs);
-        Ok (res, Some confs))
+      (* [run_conf] analyses the same plan, so it always prices a safe one *)
+      let confs =
+        match confs with Some confs -> confs | None -> row_confs db res
+      in
+      t.confs <- Some (cv, confs);
+      Ok (res, Some confs))

@@ -81,12 +81,11 @@ val eval_conf :
   t ->
   db:Relational.Database.t ->
   (Relational.Eval.annotated * float array option, string) result
-(** {!eval} plus the safe-plan confidence fast path: when {!safe} and
-    {!Lineage.Circuit.enabled}, also returns per-row confidences
+(** {!eval} plus the safe-plan confidence fast path: when {!safe}, also
+    returns per-row confidences
     (index-aligned with the result rows) computed during batch
-    evaluation — bitwise what the degradation ladder would report for
+    evaluation — bitwise what the confidence ladder would report for
     the same rows.  Confidences are memoized per confidence vector
     alongside the structural-vector row memo; a confidence-only mutation
     refreshes them with one linear pass.  [None] means the plan is not
-    safe (or the fast path is off) and the caller must price the
-    ladder/cache path as before. *)
+    safe and the caller must price the rows through the ladder. *)

@@ -51,10 +51,10 @@ let help_text =
   \perc <fraction>    set the required result fraction (theta)
   \solver <name>      heuristic | greedy | dnc | annealing
   \jobs <n>           parallelism for strategy finding (0 = one per core)
-  \deadline <ms>|off  wall-clock budget per answer; expiry degrades the
-                      proposal to best-so-far (reported and audited)
-  \mc-fallback on|off Monte-Carlo confidence fallback (fail-closed:
-                      ambiguous intervals are withheld)
+  \deadline <ms>|off  wall-clock budget per answer; expiry withholds the
+                      tuples the confidence ladder could not price in
+                      time and degrades the proposal to best-so-far
+                      (reported and audited)
   \apply              accept the last improvement proposal
   \prepare <name> <sql>  compile a named query once (plan cache)
   \exec <name>        answer a prepared query under the current settings
@@ -214,20 +214,6 @@ let meta t line =
         | Resilience.Deadline.Wall_ms ms -> Printf.sprintf "deadline: %gms" ms
         | Resilience.Deadline.Logical n ->
           Printf.sprintf "deadline: %d logical ticks" n )
-  | [ "\\mc-fallback"; "on" ] ->
-    Reply
-      ( { t with ctx = { t.ctx with Engine.mc_fallback = true } },
-        "mc-fallback on: entangled lineage degrades to Monte-Carlo intervals \
-         (ambiguous results withheld)" )
-  | [ "\\mc-fallback"; "off" ] ->
-    Reply
-      ( { t with ctx = { t.ctx with Engine.mc_fallback = false } },
-        "mc-fallback off" )
-  | [ "\\mc-fallback" ] ->
-    Reply
-      ( t,
-        Printf.sprintf "mc-fallback is %s (\\mc-fallback on|off)"
-          (if t.ctx.Engine.mc_fallback then "on" else "off") )
   | [ "\\apply" ] -> (
     match t.last_proposal with
     | None -> Reply (t, "no pending proposal")
@@ -380,17 +366,16 @@ let meta t line =
         List.iteri
           (fun i row ->
             if i < 20 then begin
-              let tier = ref "read_once" in
+              let tier = ref "" in
               let est =
                 Lineage.Approx.confidence
                   ~on_tier:(fun t -> tier := Lineage.Approx.tier_name t)
                   p row.Relational.Eval.lineage
               in
-              ignore est;
               Buffer.add_string buf
                 (Printf.sprintf "%s  confidence %.4f\n"
                    (Relational.Tuple.to_string row.Relational.Eval.tuple)
-                   (Relational.Eval.confidence t.ctx.Engine.db row));
+                   (Lineage.Approx.point est));
               Buffer.add_string buf
                 (Lineage.Explain.to_string ~tier:!tier p
                    row.Relational.Eval.lineage)
@@ -471,7 +456,7 @@ let meta t line =
   | [ "\\whoami" ] ->
     Reply
       ( t,
-        Printf.sprintf "user=%s purpose=%s perc=%g solver=%s jobs=%d%s%s"
+        Printf.sprintf "user=%s purpose=%s perc=%g solver=%s jobs=%d%s"
           (Option.value ~default:"(unset)" t.user)
           t.purpose t.perc
           (Optimize.Solver.algorithm_name t.ctx.Engine.solver)
@@ -481,8 +466,7 @@ let meta t line =
           | Resilience.Deadline.Wall_ms ms ->
             Printf.sprintf " deadline=%gms" ms
           | Resilience.Deadline.Logical n ->
-            Printf.sprintf " deadline=%dticks" n)
-          (if t.ctx.Engine.mc_fallback then " mc-fallback=on" else "") )
+            Printf.sprintf " deadline=%dticks" n) )
   | cmd :: _ -> Reply (t, Printf.sprintf "unknown command %s (try \\help)" cmd)
   | [] -> Reply (t, "")
 

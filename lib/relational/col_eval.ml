@@ -620,7 +620,7 @@ let run ?pool db plan =
    fallbacks use the linear read-once evaluator per row.  Either way the
    values are bitwise what the ladder's read-once rung returns. *)
 let run_conf ?pool db plan =
-  let safe () = Lineage.Circuit.enabled () && Safe_plan.analyze plan in
+  let safe () = Safe_plan.analyze plan in
   if not (enabled ()) then
     if safe () then Eval.run_conf db plan
     else
@@ -647,8 +647,7 @@ let run_conf ?pool db plan =
           Array.init n (fun i -> b.Colbatch.conf.(Colbatch.phys b i))
         | Colbatch.Forms _ ->
           let p = Database.confidence_fn db in
-          Array.init n (fun i ->
-              Lineage.Prob.confidence p (Colbatch.lineage b i))
+          Array.init n (fun i -> Lineage.Prob.read_once p (Colbatch.lineage b i))
       in
       Ok ({ Eval.schema; rows }, Some confs)
     | None ->
@@ -657,7 +656,7 @@ let run_conf ?pool db plan =
       let confs =
         Array.of_list
           (List.map
-             (fun (r : Eval.row) -> Lineage.Prob.confidence p r.lineage)
+             (fun (r : Eval.row) -> Lineage.Prob.read_once p r.lineage)
              rows)
       in
       Ok ({ Eval.schema; rows }, Some confs)

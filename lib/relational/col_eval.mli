@@ -59,8 +59,7 @@ val run_conf :
   Algebra.t ->
   (Eval.annotated * float array option, string) result
 (** Columnar counterpart of {!Eval.run_conf}: evaluates [plan] and, when
-    the static {!Safe_plan} analysis proves it safe (and
-    {!Lineage.Circuit.enabled}), returns per-row confidences computed
+    the static {!Safe_plan} analysis proves it safe, returns per-row confidences computed
     during batch evaluation — for fully vectorized pipelines the values
     come straight from the cached confidence column (one array read per
     row, no formula walk); dedup and hybrid paths use the linear

@@ -148,7 +148,7 @@ val set_confidence_cap : t -> Lineage.Tid.t -> float -> t
 
 val confidence_fn : t -> Lineage.Tid.t -> float
 (** [confidence_fn db] is {!confidence} partially applied — the assignment
-    passed to {!Lineage.Prob.confidence}. *)
+    passed to {!Lineage.Approx.confidence}. *)
 
 val all_confidences : t -> (Lineage.Tid.t * float) list
 

@@ -484,21 +484,17 @@ and run_rows_via recurse db plan =
 let run_exn db plan =
   match run db plan with Ok r -> r | Error msg -> failwith ("Eval.run: " ^ msg)
 
-let confidence db row =
-  Lineage.Prob.confidence (Database.confidence_fn db) row.lineage
-
-let with_confidence db res =
-  List.map (fun r -> (r, confidence db r)) res.rows
-
 (* Safe-plan fast path: when the static analysis proves every row's
-   lineage read-once (and the circuit fast path is on), confidences are
-   computed inline with the linear product evaluator — the ladder, the
-   class cache, and all their bookkeeping are skipped.  The values are
-   bitwise what the ladder's read-once rung would return. *)
+   lineage read-once, confidences are computed inline with the linear
+   product evaluator — the ladder, the class cache, and all their
+   bookkeeping are skipped.  The values are bitwise what the ladder's
+   read-once rung would return. *)
 let run_conf db plan =
   let* res = run db plan in
-  if Lineage.Circuit.enabled () && Safe_plan.analyze plan then
-    Ok (res, Some (Array.of_list (List.map (confidence db) res.rows)))
+  if Safe_plan.analyze plan then
+    let p = Database.confidence_fn db in
+    let conf r = Lineage.Prob.read_once p r.lineage in
+    Ok (res, Some (Array.of_list (List.map conf res.rows)))
   else Ok (res, None)
 
 let to_string ?max_rows res =

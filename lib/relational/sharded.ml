@@ -97,7 +97,7 @@ let run ?pool db plan =
    hybrid branch (and the ladder's read-once rung) computes. *)
 let run_conf ?pool db plan =
   if Database.shard_count db <= 1 then Col_eval.run_conf ?pool db plan
-  else if not (Lineage.Circuit.enabled () && Safe_plan.analyze plan) then
+  else if not (Safe_plan.analyze plan) then
     let* res = run ?pool db plan in
     Ok (res, None)
   else
@@ -106,7 +106,7 @@ let run_conf ?pool db plan =
     let confs =
       Array.of_list
         (List.map
-           (fun (r : Eval.row) -> Lineage.Prob.confidence p r.Eval.lineage)
+           (fun (r : Eval.row) -> Lineage.Prob.read_once p r.Eval.lineage)
            res.Eval.rows)
     in
     Ok (res, Some confs)

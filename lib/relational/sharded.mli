@@ -41,6 +41,6 @@ val run_conf :
   (Eval.annotated * float array option, string) result
 (** Sharded counterpart of {!Col_eval.run_conf}: evaluation as {!run},
     plus per-row confidences when the static {!Safe_plan} analysis
-    proves the plan safe (and {!Lineage.Circuit.enabled}) — bitwise the
+    proves the plan safe — bitwise the
     ladder's read-once values.  [None] means the caller must price the
     ladder as before. *)

@@ -100,19 +100,31 @@ let decides p site i =
   in
   Prng.Splitmix.coin (Prng.Splitmix.create key) p.rate
 
-let hit site =
+let inject p site i =
+  if Atomic.get p.injected < p.max_injections && decides p site i then begin
+    Atomic.incr p.injected;
+    raise (Injected (Printf.sprintf "%s#%d" site i))
+  end
+
+(* the armed plan and this site's counter, unless injection is off here *)
+let armed_counter site =
   match Atomic.get current with
+  | None -> None
+  | Some p ->
+    if !(Domain.DLS.get suppress_key) > 0 then None
+    else Option.map (fun c -> (p, c)) (List.assoc_opt site p.counters)
+
+let hit site =
+  match armed_counter site with
   | None -> ()
-  | Some p -> (
-    if !(Domain.DLS.get suppress_key) = 0 then
-      match List.assoc_opt site p.counters with
-      | None -> ()
-      | Some c ->
-        let i = Atomic.fetch_and_add c 1 in
-        if Atomic.get p.injected < p.max_injections && decides p site i then begin
-          Atomic.incr p.injected;
-          raise (Injected (Printf.sprintf "%s#%d" site i))
-        end)
+  | Some (p, c) -> inject p site (Atomic.fetch_and_add c 1)
+
+let reserve site n =
+  match armed_counter site with
+  | None -> fun _ -> ()
+  | Some (p, c) ->
+    let base = Atomic.fetch_and_add c n in
+    fun i -> inject p site (base + i)
 
 let injected p = Atomic.get p.injected
 

@@ -103,6 +103,15 @@ val hit : string -> unit
     otherwise counts the hit and raises {!Injected} if the seeded coin
     chooses this index. *)
 
+val reserve : string -> int -> int -> unit
+(** [reserve site n] claims the next [n] hit indices of [site] in one
+    step and returns [at]: [at i] (for [0 <= i < n]) is the hit with
+    index [base + i], injecting exactly as that {!hit} would.  A fan-out
+    numbers its hits by task index this way instead of by the order in
+    which domains arrive, so the injected set does not depend on
+    scheduling.  Plan and suppression are read once, here, on the
+    calling domain; with neither armed [at] is a no-op. *)
+
 val protect : (unit -> 'a) -> 'a
 (** Run [f] with injection suppressed for the current domain.
     Re-entrant; always restores on exit. *)

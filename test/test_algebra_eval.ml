@@ -27,6 +27,10 @@ let mk_db () =
   let db = ins db "S" [ V.String "c"; V.Int 30 ] 0.5 in
   db
 
+(* exact confidence of one result row: the possible-worlds reference *)
+let confidence db (r : E.row) =
+  Lineage.Prob.confidence (Relational.Database.confidence_fn db) r.E.lineage
+
 let run db plan =
   match E.run db plan with
   | Ok r -> r
@@ -173,13 +177,13 @@ let test_self_join_lineage () =
   let diag =
     List.find (fun r -> F.to_string r.E.lineage = "R#0") res.E.rows
   in
-  let c = E.confidence db diag in
+  let c = confidence db diag in
   Alcotest.(check (float 1e-12)) "self-join diagonal confidence" 0.9 c
 
 let test_confidence_computation () =
   let db = mk_db () in
   let res = run db A.(project [ "k" ] (scan "R")) in
-  let confs = List.map snd (E.with_confidence db res) in
+  let confs = List.map (confidence db) res.E.rows in
   (* P(R0 or R1) = 1 - 0.1*0.2 = 0.98; P(R2) = 0.7 *)
   Alcotest.(check (list (float 1e-9))) "confidences" [ 0.98; 0.7 ] confs
 
@@ -271,7 +275,7 @@ let test_paper_example () =
   in
   let res = run db plan in
   Alcotest.(check int) "one result" 1 (List.length res.E.rows);
-  let conf = E.confidence db (List.hd res.E.rows) in
+  let conf = confidence db (List.hd res.E.rows) in
   Alcotest.(check (float 1e-12)) "p38 = 0.058" 0.058 conf
 
 let () =

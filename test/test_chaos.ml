@@ -111,7 +111,7 @@ let test_pool_lowest_index_under_injection () =
   (* rate 1.0: every chunk fails; the re-raised payload must be the
      lowest-indexed hit regardless of domain interleaving *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      for trial = 0 to 4 do
+      for trial = 0 to 199 do
         let plan =
           Fault.plan ~rate:1.0 ~sites:[ Fault.site_pool_chunk ] ~seed:trial ()
         in
@@ -152,7 +152,7 @@ let test_ladder_failure_withholds () =
 (* ------------------------------------------------------------------ *)
 (* engine-level fail-closed under faults and deadlines *)
 
-let build_engine ~mc_fallback ~deadline =
+let build_engine ~deadline =
   let open Relational in
   let r = Relation.create "T" (Schema.of_list [ ("x", V.TInt) ]) in
   let db = Db.add_relation Db.empty r in
@@ -172,7 +172,7 @@ let build_engine ~mc_fallback ~deadline =
     Rbac.Policy.of_list
       [ Rbac.Policy.make ~role:"analyst" ~purpose:"p" ~beta:0.5 ]
   in
-  E.make_context ~mc_fallback ~deadline ~db ~rbac ~policies ()
+  E.make_context ~deadline ~db ~rbac ~policies ()
 
 let exact_confidences ctx (resp : E.response) =
   List.map
@@ -185,7 +185,7 @@ let test_engine_never_releases_below_beta_under_faults () =
   for seed = 0 to 14 do
     let plan = Fault.plan ~rate:0.3 ~seed () in
     let ctx =
-      build_engine ~mc_fallback:true ~deadline:(DL.Logical (seed * 7))
+      build_engine ~deadline:(DL.Logical (seed * 7))
     in
     let request =
       { E.query = Pcqe.Query.sql "SELECT x FROM T"; user = "u"; purpose = "p";
@@ -213,7 +213,7 @@ let test_engine_never_releases_below_beta_under_faults () =
 let test_engine_deadline_degrades_not_leaks () =
   (* an absurdly tight logical budget forces a partial solve; the
      response must say so, and releases still clear the threshold *)
-  let ctx = build_engine ~mc_fallback:false ~deadline:(DL.Logical 1) in
+  let ctx = build_engine ~deadline:(DL.Logical 1) in
   let resp =
     ok
       (E.answer ctx

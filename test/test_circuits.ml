@@ -1,9 +1,9 @@
 (* Tests for d-DNNF lineage circuits: bitwise agreement with the exact
-   evaluator (the identity contract the serving layer relies on), the
-   node-cap fallback boundary, the kill switch, and end-to-end solver
-   identity — circuit-backed vs ladder-backed compiled evaluators must
-   produce the same strategy-finding outcome for every solver at every
-   jobs level. *)
+   evaluator (the identity contract that lets the circuit stand as the
+   ladder's exact rung), read-once formulas compiling to pure products,
+   the node-cap fallback boundary, and end-to-end strategy finding over
+   circuit-backed compiled evaluators — the same outcome at every jobs
+   level, checked against the possible-worlds reference. *)
 
 module F = Lineage.Formula
 module P = Lineage.Prob
@@ -16,10 +16,6 @@ let v i = F.var (Tid.make "t" i)
 let p_by_row values (tid : Tid.t) = values.(tid.Tid.row)
 
 let bitwise_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
-
-let with_circuits on f =
-  C.force (Some on);
-  Fun.protect ~finally:(fun () -> C.force None) f
 
 (* ------------------------------------------------------------------ *)
 (* unit tests *)
@@ -89,29 +85,19 @@ let test_node_cap_boundary () =
     "compile_opt at cap succeeds" true
     (C.compile_opt ~node_cap:n f <> None)
 
-let test_force_overrides () =
-  C.force (Some false);
-  Alcotest.(check bool) "forced off" false (C.enabled ());
-  C.force (Some true);
-  Alcotest.(check bool) "forced on" true (C.enabled ());
-  C.force None;
-  Alcotest.(check bool) "default on" true (C.enabled ())
-
-let test_env_kill_switch () =
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PCQE_CIRCUITS" "")
-    (fun () ->
-      Unix.putenv "PCQE_CIRCUITS" "0";
-      Alcotest.(check bool) "PCQE_CIRCUITS=0" false (C.enabled ());
-      Unix.putenv "PCQE_CIRCUITS" "off";
-      Alcotest.(check bool) "PCQE_CIRCUITS=off" false (C.enabled ());
-      Unix.putenv "PCQE_CIRCUITS" "1";
-      Alcotest.(check bool) "PCQE_CIRCUITS=1" true (C.enabled ());
-      (* force beats the environment *)
-      Unix.putenv "PCQE_CIRCUITS" "0";
-      C.force (Some true);
-      Alcotest.(check bool) "force beats env" true (C.enabled ());
-      C.force None)
+let test_read_once_no_decisions () =
+  (* a read-once formula decomposes into independent products all the
+     way down: no Shannon decision, and the read-once evaluator's value *)
+  let f =
+    F.disj [ F.conj [ v 0; F.neg (v 1) ]; F.conj [ v 2; F.disj [ v 3; v 4 ] ] ]
+  in
+  Alcotest.(check bool) "formula is read-once" true (F.is_read_once f);
+  let p = p_by_row [| 0.3; 0.6; 0.45; 0.2; 0.9 |] in
+  let c = C.compile f in
+  Alcotest.(check int) "no decisions" 0 (C.decisions c);
+  Alcotest.(check bool)
+    "bitwise vs read_once" true
+    (bitwise_equal (C.eval c p) (P.read_once p f))
 
 (* ------------------------------------------------------------------ *)
 (* properties: Circuit.eval ≡ Prob.exact, bit for bit *)
@@ -201,44 +187,57 @@ let solvers =
   ]
 
 let test_solver_identity () =
-  let make on =
-    with_circuits on (fun () ->
-        entangled_dyadic ~num_bases:10 ~num_results:8 ~width:4 ~required:3
-          ~seed:7 ())
+  let pb =
+    entangled_dyadic ~num_bases:10 ~num_results:8 ~width:4 ~required:3 ~seed:7
+      ()
   in
-  let pb_circ = make true in
-  let pb_ladder = make false in
-  (* the A/B is real: at least one class must actually be circuit-backed *)
-  let kind_count pb kind =
-    let n = ref 0 in
-    for cid = 0 to Problem.num_classes pb - 1 do
-      if Problem.evaluator_kind pb cid = kind then incr n
-    done;
-    !n
-  in
-  Alcotest.(check bool)
-    "some circuit-backed classes" true
-    (kind_count pb_circ "circuit" > 0);
-  Alcotest.(check int) "no circuits when forced off" 0
-    (kind_count pb_ladder "circuit");
+  (* the instance really is circuit-backed *)
+  let circuit_classes = ref 0 in
+  for cid = 0 to Problem.num_classes pb - 1 do
+    if Problem.evaluator_kind pb cid = "circuit" then incr circuit_classes
+  done;
+  Alcotest.(check bool) "some circuit-backed classes" true (!circuit_classes > 0);
   List.iter
     (fun (sname, algorithm) ->
+      let reference = Solver.solve ~algorithm ~jobs:1 pb in
       List.iter
         (fun jobs ->
-          let solve pb = Solver.solve ~algorithm ~jobs pb in
-          let oc = solve pb_circ in
-          let ol = solve pb_ladder in
+          let o = Solver.solve ~algorithm ~jobs pb in
           let label = Printf.sprintf "%s jobs=%d" sname jobs in
           Alcotest.(check bool)
             (label ^ ": solutions equal") true
-            (oc.Solver.solution = ol.Solver.solution);
+            (o.Solver.solution = reference.Solver.solution);
           Alcotest.(check (list int))
-            (label ^ ": satisfied equal") ol.Solver.satisfied
-            oc.Solver.satisfied;
+            (label ^ ": satisfied equal") reference.Solver.satisfied
+            o.Solver.satisfied;
           Alcotest.(check bool)
             (label ^ ": costs bitwise equal") true
-            (bitwise_equal oc.Solver.cost ol.Solver.cost))
-        [ 1; 2; 4 ])
+            (bitwise_equal o.Solver.cost reference.Solver.cost))
+        [ 2; 4 ];
+      (* the circuit-backed evaluation agrees with the possible-worlds
+         reference: at the proposed levels, exactly the results the
+         solver counts as satisfied clear beta under [Prob.exact] *)
+      match reference.Solver.solution with
+      | None -> Alcotest.failf "%s: instance is feasible" sname
+      | Some increments ->
+        let level tid =
+          match List.assoc_opt tid increments with
+          | Some target -> target
+          | None -> (
+            match Problem.bid_of_tid pb tid with
+            | Some bid -> (Problem.base pb bid).Problem.p0
+            | None -> 0.0)
+        in
+        let exact_satisfied =
+          List.filter
+            (fun rid ->
+              P.exact level (Problem.result pb rid).Problem.formula
+              > Problem.beta pb)
+            (List.init (Problem.num_results pb) Fun.id)
+        in
+        Alcotest.(check (list int))
+          (sname ^ ": satisfied = exact reference") exact_satisfied
+          (List.sort compare reference.Solver.satisfied))
     solvers
 
 let () =
@@ -254,8 +253,8 @@ let () =
           Alcotest.test_case "constants and negation" `Quick
             test_constants_and_negation;
           Alcotest.test_case "node-cap boundary" `Quick test_node_cap_boundary;
-          Alcotest.test_case "force overrides" `Quick test_force_overrides;
-          Alcotest.test_case "env kill switch" `Quick test_env_kill_switch;
+          Alcotest.test_case "read-once has no decisions" `Quick
+            test_read_once_no_decisions;
         ] );
       ( "properties",
         [

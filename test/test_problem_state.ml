@@ -219,8 +219,23 @@ let test_of_query_results () =
   let db, _ = Database.insert db "R" [ Value.String "b" ] ~conf:0.9 in
   let db, _ = Database.insert db "R" [ Value.String "c" ] ~conf:0.2 in
   let res = Eval.run_exn db (Algebra.scan "R") in
+  (* the policy filter's verdicts: exact confidence strictly above beta *)
+  let released =
+    Array.of_list
+      (List.map
+         (fun (r : Eval.row) ->
+           Lineage.Prob.confidence (Database.confidence_fn db) r.Eval.lineage
+           > 0.5)
+         res.Eval.rows)
+  in
+  Alcotest.(check bool) "misaligned verdicts rejected" true
+    (Result.is_error
+       (Problem.of_query_results ~released:[| true |] ~theta:1.0 ~beta:0.5
+          ~cost_of:(fun _ -> C.linear ~rate:10.0)
+          ~cap_of:(fun _ -> 1.0)
+          db res));
   match
-    Problem.of_query_results ~theta:1.0 ~beta:0.5
+    Problem.of_query_results ~released ~theta:1.0 ~beta:0.5
       ~cost_of:(fun _ -> C.linear ~rate:10.0)
       ~cap_of:(fun _ -> 1.0)
       db res

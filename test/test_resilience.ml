@@ -10,7 +10,9 @@
    4. logical-budget divide-and-conquer is bit-identical at any jobs
       level;
    5. the ladder's interval contains the exact confidence and the
-      release rule is fail-closed. *)
+      release rule is fail-closed;
+   6. the confidence stage honours the answer's deadline, and a
+      non-hierarchical query finishes in default mode. *)
 
 module DL = Resilience.Deadline
 module Fault = Resilience.Fault
@@ -21,6 +23,11 @@ module D = Optimize.Divide_conquer
 module Approx = Lineage.Approx
 module F = Lineage.Formula
 module Tid = Lineage.Tid
+module Db = Relational.Database
+module V = Relational.Value
+module E = Pcqe.Engine
+
+let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* deadline tokens *)
@@ -501,6 +508,123 @@ let test_samples_for_validation () =
     (Invalid_argument "Approx.samples_for: eps 0 outside (0,1)") (fun () ->
       ignore (Approx.samples_for { Approx.default_mc with eps = 0.0 }))
 
+(* ------------------------------------------------------------------ *)
+(* deadlines in the confidence stage *)
+
+let test_ladder_expired_deadline_fails_closed () =
+  let f = entangled 16 in
+  let p _ = 0.35 in
+  let tiers = ref [] in
+  (match
+     Approx.confidence ~deadline:(DL.logical 0)
+       ~on_tier:(fun t -> tiers := t :: !tiers)
+       p f
+   with
+  | Approx.Failed reason -> Alcotest.(check string) "reason" "deadline" reason
+  | _ -> Alcotest.fail "an expired deadline must fail the bounded rungs");
+  Alcotest.(check (list string)) "reported under the OBDD rung" [ "obdd" ]
+    (List.map Approx.tier_name !tiers);
+  (* the exact rungs are bounded by construction and ignore it *)
+  match Approx.confidence ~deadline:(DL.logical 0) p (entangled 5) with
+  | Approx.Exact c ->
+    Alcotest.(check (float 1e-9)) "circuit rung still answers"
+      (Lineage.Prob.exact p (entangled 5)) c
+  | _ -> Alcotest.fail "the circuit rung does not consult the deadline"
+
+let test_ladder_deadline_between_chunks () =
+  (* counter clock, one reading per check: the OBDD (1.0) and
+     Monte-Carlo (2.0) checks and chunk 0 (3.0) pass, chunk 1 (4.0) is
+     past the 3.5 s deadline *)
+  let clock = Obs.Clock.counter ~step:1.0 () in
+  let deadline = DL.wall_ms ~clock 3500.0 in
+  Alcotest.(check bool) "several chunks" true
+    (Approx.samples_for Approx.default_mc > 4096);
+  match
+    Approx.confidence ~deadline ~exact_node_cap:2 (fun _ -> 0.35)
+      (entangled 16)
+  with
+  | Approx.Failed reason -> Alcotest.(check string) "reason" "deadline" reason
+  | _ -> Alcotest.fail "sampling must stop at the first chunk past the deadline"
+
+(* R(A, Tag) ⋈ S(A, B) ⋈ T(B): the non-hierarchical H0 query; every R
+   row shares one Tag, so its single output row's lineage joins all of
+   S's edges and every R and T tuple occurs many times *)
+let h0_sql = "SELECT DISTINCT R.Tag FROM R, S, T WHERE R.A = S.A AND S.B = T.B"
+
+let h0_context ~beta ~deadline =
+  let open Relational in
+  let rel name cols =
+    Relation.create name (Schema.of_list (List.map (fun c -> (c, V.TInt)) cols))
+  in
+  let db =
+    List.fold_left Db.add_relation Db.empty
+      [ rel "R" [ "A"; "Tag" ]; rel "S" [ "A"; "B" ]; rel "T" [ "B" ] ]
+  in
+  let rng = Prng.Splitmix.of_int 2009 in
+  let conf () = Prng.Splitmix.float_in rng 0.1 0.9 in
+  let insert db name values = fst (Db.insert db name values ~conf:(conf ())) in
+  let db = ref db in
+  for i = 0 to 11 do
+    db := insert !db "R" [ V.Int i; V.Int 0 ];
+    db := insert !db "T" [ V.Int i ]
+  done;
+  for a = 0 to 11 do
+    for b = 0 to 11 do
+      if Prng.Splitmix.float_in rng 0.0 1.0 < 0.6 then
+        db := insert !db "S" [ V.Int a; V.Int b ]
+    done
+  done;
+  let rbac =
+    let open Rbac.Core_rbac in
+    let m = add_user (add_role empty "analyst") "u" in
+    let m = ok (assign_user m ~user:"u" ~role:"analyst") in
+    ok (grant m ~role:"analyst" { action = "select"; resource = "*" })
+  in
+  let policies =
+    Rbac.Policy.of_list [ Rbac.Policy.make ~role:"analyst" ~purpose:"p" ~beta ]
+  in
+  E.make_context ~deadline ~obs:(Obs.deterministic ()) ~db:!db ~rbac ~policies
+    ()
+
+let h0_request = { E.query = Pcqe.Query.sql h0_sql; user = "u"; purpose = "p"; perc = 0.0 }
+
+let test_h0_default_mode_finishes () =
+  let check label beta (resp : E.response) =
+    Alcotest.(check int) (label ^ ": one output row") 1
+      (List.length resp.E.released + resp.E.withheld);
+    List.iter
+      (fun (r : E.released) ->
+        Alcotest.(check bool)
+          (label ^ ": priced by a bounded rung") true
+          (List.mem r.E.conf_tier [ "obdd"; "monte_carlo" ]);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: released above beta (%.4f)" label r.E.confidence)
+          true (r.E.confidence > beta))
+      resp.E.released
+  in
+  List.iter
+    (fun beta ->
+      let ctx = h0_context ~beta ~deadline:DL.No_deadline in
+      check "cold" beta (ok (E.answer ctx h0_request));
+      let session = E.Session.create ctx in
+      check "session" beta (ok (E.Session.answer session h0_request)))
+    [ 0.3; 0.999 ];
+  (* with a generous threshold the row clears it and is released *)
+  let ctx = h0_context ~beta:0.3 ~deadline:DL.No_deadline in
+  let resp = ok (E.answer ctx h0_request) in
+  Alcotest.(check int) "released at beta 0.3" 1 (List.length resp.E.released)
+
+let test_engine_confidence_deadline_withholds () =
+  (* an exhausted logical budget: the H0 row cannot be priced, so it is
+     withheld and counted, never released *)
+  let ctx = h0_context ~beta:0.3 ~deadline:(DL.Logical 0) in
+  let resp = ok (E.answer ctx h0_request) in
+  Alcotest.(check int) "nothing released" 0 (List.length resp.E.released);
+  Alcotest.(check int) "withheld" 1 resp.E.withheld;
+  let obs = Option.get ctx.E.obs in
+  Alcotest.(check int) "counted as a confidence failure" 1
+    (Obs.Metrics.counter obs.Obs.metrics "resilience.confidence_failures")
+
 let () =
   Alcotest.run "resilience"
     [
@@ -561,5 +685,16 @@ let () =
           Alcotest.test_case "fail-closed release rule" `Quick
             test_releasable_fail_closed;
           Alcotest.test_case "samples_for" `Quick test_samples_for_validation;
+          Alcotest.test_case "expired deadline fails closed" `Quick
+            test_ladder_expired_deadline_fails_closed;
+          Alcotest.test_case "deadline between sampling chunks" `Quick
+            test_ladder_deadline_between_chunks;
+        ] );
+      ( "confidence stage",
+        [
+          Alcotest.test_case "H0 finishes in default mode" `Quick
+            test_h0_default_mode_finishes;
+          Alcotest.test_case "expired budget withholds" `Quick
+            test_engine_confidence_deadline_withholds;
         ] );
     ]

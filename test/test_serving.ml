@@ -6,8 +6,8 @@
    (shared prepared plans, cached lineage-class confidences) must be
    bit-identical to the cold per-request path — same released tuples,
    same confidences, same withheld counts, same proposals — across all
-   four solvers, with and without the Monte-Carlo fallback, under a
-   logical deadline, and at the suite's PCQE_JOBS=2 parallelism. *)
+   four solvers, under a logical deadline, and at the suite's
+   PCQE_JOBS=2 parallelism. *)
 
 module Db = Relational.Database
 module V = Relational.Value
@@ -19,13 +19,6 @@ module E = Pcqe.Engine
 module Tid = Lineage.Tid
 
 let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
-
-(* Pin the ladder/class-cache path: the safe-plan and single-Var fast
-   paths (PR 8) legitimately bypass the confidence cache, so tests that
-   assert exact cache counters force them off for their duration. *)
-let without_circuits f =
-  Lineage.Circuit.force (Some false);
-  Fun.protect ~finally:(fun () -> Lineage.Circuit.force None) f
 
 (* ------------------------------------------------------------------ *)
 (* database epochs *)
@@ -140,20 +133,26 @@ let stat session name =
 (* ------------------------------------------------------------------ *)
 (* prepared-plan cache *)
 
+(* A self-join: its plan is not safe and its rows carry multi-tuple
+   lineage, so answers go through the confidence cache (a safe plan, or
+   single-tuple lineage, is priced without it). *)
+let self_join_sql = "SELECT X.n FROM R AS X, R AS Y WHERE X.n < Y.n"
+
 let test_plan_cache_hit_miss () =
-  without_circuits @@ fun () ->
   let ctx, _ = mk_ctx ~confs:[ 0.9; 0.8; 0.7 ] () in
   let session = E.Session.create ctx in
-  let req = request () in
+  (* rows n=0 ((r0 & r1) | (r0 & r2), 0.846) and n=1 (r1 & r2, 0.56):
+     one release meets perc 0.5, so no strategy finding runs *)
+  let req = request ~sql:self_join_sql () in
   let a = ok (E.Session.answer session req) in
   let b = ok (E.Session.answer session req) in
   Alcotest.(check int) "same releases" (List.length a.E.released)
     (List.length b.E.released);
   Alcotest.(check int) "one compile" 1 (stat session "prepared.miss");
   Alcotest.(check int) "one reuse" 1 (stat session "prepared.hit");
-  Alcotest.(check int) "one class per base tuple" 3
+  Alcotest.(check int) "one class per result row" 2
     (stat session "conf.entries");
-  Alcotest.(check int) "second answer served from cache" 3
+  Alcotest.(check int) "second answer served from cache" 2
     (stat session "serving.reused_classes")
 
 let test_plan_cache_structural_invalidation () =
@@ -206,12 +205,17 @@ let test_plan_cache_eviction () =
 (* accept_proposal: prepared plan reused, only dirty classes recomputed *)
 
 let test_accept_proposal_reuse () =
-  without_circuits @@ fun () ->
-  (* four tuples at 0.5 under beta 0.6 with perc 0.5: the solver must
-     raise two of them, leaving two untouched lineage classes *)
-  let ctx, _ = mk_ctx ~confs:[ 0.5; 0.5; 0.5; 0.5 ] () in
+  (* self-join pairing r_i with r_(i+4): four rows with disjoint
+     two-tuple lineage, each at 0.25 under beta 0.6 with perc 0.5 — the
+     solver must raise both tuples of some rows, leaving the other
+     rows' lineage classes untouched *)
+  let ctx, tids = mk_ctx ~confs:(List.init 8 (fun _ -> 0.5)) () in
+  let tids = Array.of_list tids in
   let session = E.Session.create ctx in
-  let req = request ~perc:0.5 () in
+  let req =
+    request ~perc:0.5
+      ~sql:"SELECT X.n FROM R AS X, R AS Y WHERE X.n + 4 = Y.n" ()
+  in
   let resp = ok (E.Session.answer session req) in
   let proposal =
     match resp.E.proposal with
@@ -227,14 +231,23 @@ let test_accept_proposal_reuse () =
     (List.length resp'.E.released >= proposal.E.projected_release);
   Alcotest.(check int) "prepared plan reused (no recompile)" miss0
     (stat session "prepared.miss");
-  let raised = List.length proposal.E.increments in
-  Alcotest.(check bool) "solver raised a strict subset" true
-    (raised >= 1 && raised < 4);
-  Alcotest.(check int) "exactly the dirty classes recomputed" raised
+  Alcotest.(check int) "four rows" 4
+    (List.length resp.E.released + resp.E.withheld);
+  (* row i's class is dirty when r_i or r_(i+4) was raised *)
+  let raised tid = List.mem_assoc tid proposal.E.increments in
+  let dirty =
+    List.length
+      (List.filter
+         (fun i -> raised tids.(i) || raised tids.(i + 4))
+         [ 0; 1; 2; 3 ])
+  in
+  Alcotest.(check bool) "solver dirtied a strict subset" true
+    (dirty >= 1 && dirty < 4);
+  Alcotest.(check int) "exactly the dirty classes recomputed" dirty
     (stat session "serving.recomputed_classes" - recomputed0);
-  Alcotest.(check int) "exactly the dirty classes invalidated" raised
+  Alcotest.(check int) "exactly the dirty classes invalidated" dirty
     (stat session "serving.invalidated_classes");
-  Alcotest.(check int) "every untouched class reused" (4 - raised)
+  Alcotest.(check int) "every untouched class reused" (4 - dirty)
     (stat session "serving.reused_classes" - reused0)
 
 (* ------------------------------------------------------------------ *)
@@ -314,13 +327,12 @@ let scenario seed =
       [ Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta ]
   in
   let solver = Sm.choice rng solvers in
-  let mc_fallback = Sm.bool rng in
   let deadline =
     if Sm.bool rng then Resilience.Deadline.No_deadline
     else Resilience.Deadline.Logical (Sm.int_in rng 1 200)
   in
   let ctx =
-    E.make_context ~solver ~deadline ~mc_fallback ~db ~rbac:(mk_rbac ())
+    E.make_context ~solver ~deadline ~db ~rbac:(mk_rbac ())
       ~policies ()
   in
   (* a handful of requests with deliberately repeated query texts, so the

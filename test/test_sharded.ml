@@ -21,10 +21,6 @@ module Tid = Lineage.Tid
 
 let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
 
-let without_circuits f =
-  Lineage.Circuit.force (Some false);
-  Fun.protect ~finally:(fun () -> Lineage.Circuit.force None) f
-
 (* ---------------- evaluator identity (plan level) ---------------- *)
 
 let string_pool = [| "a"; "b"; "ab"; ""; "x"; "yy" |]
@@ -188,9 +184,8 @@ let scenario rng solver =
     Rbac.Policy.of_list
       [ Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta ]
   in
-  let mc_fallback = Sm.bool rng in
   let ctx =
-    E.make_context ~solver ~mc_fallback ~db ~rbac:(mk_rbac ()) ~policies ()
+    E.make_context ~solver ~db ~rbac:(mk_rbac ()) ~policies ()
   in
   let requests =
     List.init
@@ -356,40 +351,52 @@ let test_bulk_load_per_shard_logs () =
 (* ---------------- directed: per-shard cache invalidation ------------ *)
 
 let test_conf_cache_per_shard_flush () =
-  without_circuits (fun () ->
-      let db, t0, t1 = two_shard_fixture () in
-      let s0 = Db.shard_of_tid db t0 in
-      let cache = Pcqe.Conf_cache.create () in
-      let f0 = F.Var t0 and f1 = F.Var t1 in
-      let (_ : float) = Pcqe.Conf_cache.confidence cache ~db f0 in
-      let (_ : float) = Pcqe.Conf_cache.confidence cache ~db f1 in
-      Alcotest.(check int) "both classes cached" 2 (Pcqe.Conf_cache.length cache);
-      (* overflow shard s0's change log: sync must flush s0's classes
-         wholesale but keep every class living on the other shard *)
-      let db' = ref db in
-      for i = 1 to 400 do
-        db' := Db.set_confidence !db' t0 (float_of_int i /. 1000.0)
-      done;
-      Pcqe.Conf_cache.sync cache ~db:!db';
-      Alcotest.(check bool) "dirty shard's class dropped" false
-        (Pcqe.Conf_cache.mem_exact cache f0);
-      Alcotest.(check bool) "other shard's class survives" true
-        (Pcqe.Conf_cache.mem_exact cache f1);
-      (* targeted invalidation still works per shard for small gaps *)
-      let db2 = Db.set_confidence !db' t0 0.42 in
-      Pcqe.Conf_cache.sync cache ~db:db2;
-      let c0 = Pcqe.Conf_cache.confidence cache ~db:db2 f0 in
-      Alcotest.(check (float 0.0)) "recomputed from the live vector" 0.42 c0;
-      (* shard_sizes buckets indexed tuples by owner *)
-      let sizes =
-        Pcqe.Conf_cache.shard_sizes cache ~shards:(Db.shard_count db2)
-      in
-      Alcotest.(check bool) "both shards indexed" true
-        (sizes.(s0) >= 1 && Array.fold_left ( + ) 0 sizes >= 2);
-      (* a shard-layout change has no per-shard history: wholesale flush *)
-      Pcqe.Conf_cache.sync cache ~db:(Db.with_shards db2 3);
-      Alcotest.(check int) "re-partition flushes wholesale" 0
-        (Pcqe.Conf_cache.length cache))
+  let db, t0, t1 = two_shard_fixture () in
+  let s0 = Db.shard_of_tid db t0 in
+  (* self-join-shaped classes, each over two tuples of one shard: a
+     single-tuple class would be answered from the base vector without
+     touching the cache *)
+  let sibling t =
+    let shard = Db.shard_of_tid db t in
+    match
+      List.find_opt
+        (fun u -> u <> t && Db.shard_of_tid db u = shard)
+        (List.init 16 (Tid.make "R"))
+    with
+    | Some u -> u
+    | None -> Alcotest.fail "a shard owns a single tuple"
+  in
+  let pair t = F.conj [ F.var t; F.var (sibling t) ] in
+  let f0 = pair t0 and f1 = pair t1 in
+  let cache = Pcqe.Conf_cache.create () in
+  let price db f = fst (Pcqe.Conf_cache.confidence cache ~db f) in
+  ignore (price db f0);
+  ignore (price db f1);
+  Alcotest.(check int) "both classes cached" 2 (Pcqe.Conf_cache.length cache);
+  (* overflow shard s0's change log: sync must flush s0's classes
+     wholesale but keep every class living on the other shard *)
+  let db' = ref db in
+  for i = 1 to 400 do
+    db' := Db.set_confidence !db' t0 (float_of_int i /. 1000.0)
+  done;
+  Pcqe.Conf_cache.sync cache ~db:!db';
+  Alcotest.(check bool) "dirty shard's class dropped" false
+    (Pcqe.Conf_cache.mem cache f0);
+  Alcotest.(check bool) "other shard's class survives" true
+    (Pcqe.Conf_cache.mem cache f1);
+  (* targeted invalidation still works per shard for small gaps *)
+  let db2 = Db.set_confidence !db' t0 0.42 in
+  Pcqe.Conf_cache.sync cache ~db:db2;
+  Alcotest.(check bool) "recomputed from the live vector" true
+    (price db2 f0 = Lineage.Approx.Exact (0.42 *. 0.5));
+  (* shard_sizes buckets indexed tuples by owner *)
+  let sizes = Pcqe.Conf_cache.shard_sizes cache ~shards:(Db.shard_count db2) in
+  Alcotest.(check bool) "both shards indexed" true
+    (sizes.(s0) >= 1 && Array.fold_left ( + ) 0 sizes >= 2);
+  (* a shard-layout change has no per-shard history: wholesale flush *)
+  Pcqe.Conf_cache.sync cache ~db:(Db.with_shards db2 3);
+  Alcotest.(check int) "re-partition flushes wholesale" 0
+    (Pcqe.Conf_cache.length cache)
 
 let test_prepared_vector_pinning () =
   let db, t0, _ = two_shard_fixture () in
