@@ -690,7 +690,7 @@ let () =
           Alcotest.test_case "deadline between sampling chunks" `Quick
             test_ladder_deadline_between_chunks;
         ] );
-      ( "confidence stage",
+      ( "confidence",
         [
           Alcotest.test_case "H0 finishes in default mode" `Quick
             test_h0_default_mode_finishes;
