@@ -27,60 +27,55 @@ let tier_name = function
   | Obdd -> "obdd"
   | Monte_carlo -> "monte_carlo"
 
-let confidence ?pool ?fork ?(deadline = Resilience.Deadline.never)
-    ?(on_tier = fun (_ : tier) -> ()) ?(circuit = fun f -> Circuit.compile_opt f)
-    ?(exact_node_cap = 20_000) ?(mc = default_mc) p f =
-  let expired () = Resilience.Deadline.expired deadline in
+let build_circuit f = Circuit.compile_opt f
+
+let compile ?(deadline = Resilience.Deadline.never) ?(circuit = build_circuit)
+    ?(exact_node_cap = 20_000) f =
   match f with
-  | Formula.Var v ->
-    (* single-tuple lineage: the confidence IS the base confidence *)
-    on_tier Var;
-    Exact (p v)
+  | Formula.Var v -> (Var, Some (fun p -> p v))
   | _ when Formula.is_read_once f ->
-    on_tier Read_once;
-    Exact (Prob.read_once p f)
+    (Read_once, Some (fun p -> Prob.read_once p f))
   | _ -> (
     match
       if Prob.shannon_cost_estimate f <= exact_threshold then circuit f
       else None
     with
-    | Some c ->
-      on_tier Circuit;
-      Exact (Circuit.eval c p)
+    | Some c -> (Circuit, Some (Circuit.eval c))
     | None -> (
-      (* the bounded rungs: each checks the deadline before it starts,
-         and an expired one fails closed under its own name *)
-      if expired () then begin
-        on_tier Obdd;
-        Failed "deadline"
-      end
+      (* an expired deadline stops the ladder at its first bounded rung *)
+      if Resilience.Deadline.expired deadline then (Obdd, None)
       else
         let m = Bdd.manager () in
         match Bdd.of_formula ~size_cap:exact_node_cap m f with
-        | b ->
-          on_tier Obdd;
-          Exact (Bdd.prob m p b)
-        | exception Bdd.Size_cap_exceeded -> (
-          on_tier Monte_carlo;
-          if expired () then Failed "deadline"
-          else
-            let samples = samples_for mc in
-            (* per-formula stream: reproducible, order- and pool-independent *)
-            let rng = Prng.Splitmix.of_int (mc.seed lxor Formula.hash f) in
-            match Prob.monte_carlo ?pool ?fork ~deadline rng ~samples p f with
-            | est ->
-              Interval
-                {
-                  lo = Float.max 0.0 (est -. mc.eps);
-                  hi = Float.min 1.0 (est +. mc.eps);
-                  estimate = est;
-                  samples;
-                }
-            | exception Prob.Deadline_expired -> Failed "deadline"
-            | exception e ->
-              (* fail closed: an unanswerable confidence is a withheld
-                 tuple, never a released one *)
-              Failed (Printexc.to_string e))))
+        | b -> (Obdd, Some (fun p -> Bdd.prob m p b))
+        | exception Bdd.Size_cap_exceeded -> (Monte_carlo, None)))
+
+let confidence ?pool ?fork ?(deadline = Resilience.Deadline.never)
+    ?(on_tier = fun (_ : tier) -> ()) ?circuit ?exact_node_cap
+    ?(mc = default_mc) p f =
+  let tier, eval = compile ~deadline ?circuit ?exact_node_cap f in
+  on_tier tier;
+  match eval with
+  | Some eval -> Exact (eval p)
+  | None when Resilience.Deadline.expired deadline -> Failed "deadline"
+  | None -> (
+    let samples = samples_for mc in
+    (* per-formula stream: reproducible, order- and pool-independent *)
+    let rng = Prng.Splitmix.of_int (mc.seed lxor Formula.hash f) in
+    match Prob.monte_carlo ?pool ?fork ~deadline rng ~samples p f with
+    | est ->
+      Interval
+        {
+          lo = Float.max 0.0 (est -. mc.eps);
+          hi = Float.min 1.0 (est +. mc.eps);
+          estimate = est;
+          samples;
+        }
+    | exception Prob.Deadline_expired -> Failed "deadline"
+    | exception e ->
+      (* fail closed: an unanswerable confidence is a withheld tuple,
+         never a released one *)
+      Failed (Printexc.to_string e))
 
 let point = function
   | Exact c -> c

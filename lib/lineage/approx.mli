@@ -67,6 +67,24 @@ val tier_name : tier -> string
     [obdd], [monte_carlo]) — used as the [ladder.<tier>]
     counter suffix by callers that account rung usage. *)
 
+val build_circuit : Formula.t -> Circuit.t option
+(** The circuit rung's default source: a fresh {!Circuit.compile_opt}. *)
+
+val compile :
+  ?deadline:Resilience.Deadline.t ->
+  ?circuit:(Formula.t -> Circuit.t option) ->
+  ?exact_node_cap:int ->
+  Formula.t ->
+  tier * ((Tid.t -> float) -> float) option
+(** [compile f] runs the exact rungs once — the one pricing kernel.  It
+    returns the rung that answered with an evaluator re-pricing [f]
+    under any base confidences (safe to call concurrently), or the rung
+    the ladder stopped at with [None]: [Obdd] when [deadline] expired
+    before the OBDD build, [Monte_carlo] when the build overflowed
+    [exact_node_cap].  [circuit] supplies a class's circuit, or [None]
+    to skip the rung (default {!build_circuit}); a cache passes its
+    per-class table so a circuit is built once. *)
+
 val confidence :
   ?pool:Exec.Pool.t ->
   ?fork:Obs.task_ctx ->
@@ -78,23 +96,17 @@ val confidence :
   (Tid.t -> float) ->
   Formula.t ->
   estimate
-(** [confidence p f] runs the ladder.  [circuit] supplies the compiled
-    circuit of a class that reached the circuit rung, or [None] to skip
-    the rung (default: {!Circuit.compile_opt}, a fresh build per call) —
-    a cache passes its per-class table here so a circuit is built once
-    and re-evaluated under every later confidence vector.
-    [exact_node_cap] (default [20_000]) bounds the OBDD rung's node
-    allocations; [mc] (default {!default_mc}) parameterizes the sampling
-    rung.  The Monte-Carlo seed is derived from [mc.seed] and
-    {!Formula.hash}[ f], so the estimate for a given formula is
-    reproducible and independent of evaluation order and of [pool].
-    Never raises: any exception from the sampling rung is converted to
-    [Failed].
+(** [confidence p f] runs the ladder: {!compile} ([exact_node_cap]
+    defaults to [20_000]), then the Monte-Carlo rung, parameterized by
+    [mc] (default {!default_mc}).  The Monte-Carlo seed is derived from
+    [mc.seed] and {!Formula.hash}[ f], so the estimate for a given
+    formula is reproducible and independent of evaluation order and of
+    [pool].  Never raises: any exception from the sampling rung is
+    converted to [Failed].
 
     [deadline] (default {!Resilience.Deadline.never}) is checked before
     the OBDD rung, before the Monte-Carlo rung and between sampling
-    chunks; an expired token yields [Failed "deadline"].  The first
-    three rungs are bounded by construction and never consult it.
+    chunks; an expired token yields [Failed "deadline"].
 
     [on_tier] is called exactly once, with the rung selected to answer,
     {e before} that rung's value is returned (a rung that fails — its

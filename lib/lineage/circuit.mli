@@ -13,9 +13,8 @@
     {!Formula.restrict} cofactors, and the same structural memoization of
     repeated subformulas.  Because {!eval}
     performs the identical float operations in the identical order,
-    [eval (compile f) p] is {e bitwise equal} to [Prob.exact p f] (and
-    hence to [Prob.confidence p f], whose read-once fast path computes
-    the same products).  That equality is what lets the circuit stand as
+    [eval (compile f) p] is {e bitwise equal} to [Prob.exact p f].  That
+    equality is what lets the circuit stand as
     the exact rung of {!Approx.confidence}'s ladder.  A read-once formula
     compiles to pure products ({!decisions} [= 0]).
 

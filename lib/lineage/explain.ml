@@ -59,12 +59,16 @@ let top_witnesses ?(k = 5) p f =
        followed by take-k, without sorting every term *)
     Topk.by_score ~k snd scored
 
-let influence p f =
-  Tid.Set.elements (Formula.vars f)
-  |> List.map (fun tid -> (tid, Prob.derivative p f tid))
-  |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
+(* P(f|v=1) - P(f|v=0): one compile, each cofactor one re-evaluation *)
+let influence ?deadline p f =
+  snd (Approx.compile ?deadline f)
+  |> Option.map (fun eval ->
+         let pinned v b tid = if Tid.equal tid v then b else p tid in
+         Tid.Set.elements (Formula.vars f)
+         |> List.map (fun v -> (v, eval (pinned v 1.0) -. eval (pinned v 0.0)))
+         |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a))
 
-let to_string ?tier p f =
+let to_string ?tier ?deadline p f =
   let buf = Buffer.create 256 in
   (match tier with
   | Some t -> Buffer.add_string buf (Printf.sprintf "  confidence tier: %s\n" t)
@@ -82,10 +86,13 @@ let to_string ?tier p f =
              (String.concat ", " (List.map Tid.to_string (Tid.Set.elements t)))
              prob))
       ws);
-  Buffer.add_string buf "  influence (dP/dp per base tuple):\n";
-  List.iter
-    (fun (tid, d) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %-16s %+.4f\n" (Tid.to_string tid) d))
-    (influence p f);
+  (match influence ?deadline p f with
+  | None -> Buffer.add_string buf "  influence: not available\n"
+  | Some ranked ->
+    Buffer.add_string buf "  influence (dP/dp per base tuple):\n";
+    List.iter
+      (fun (tid, d) ->
+        Buffer.add_string buf
+          (Printf.sprintf "    %-16s %+.4f\n" (Tid.to_string tid) d))
+      ranked);
   Buffer.contents buf

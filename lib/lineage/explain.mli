@@ -8,7 +8,7 @@
       why-provenance; a user asking "why is this row here?" gets one line
       per witness.
     - {!influence}: the Birnbaum importance of each base tuple
-      ({!Prob.derivative}) — how much one unit of confidence on that tuple
+      ([∂P/∂p(t)]) — how much one unit of confidence on that tuple
       moves the result's confidence.  This ranks where quality-improvement
       money is best spent and is exactly the quantity the greedy gain
       normalizes by cost. *)
@@ -26,13 +26,19 @@ val top_witnesses :
     whole witness is present ([Π p(t)]) and keeps the best [k]
     (default 5).  Empty on non-monotone formulas. *)
 
-val influence : (Tid.t -> float) -> Formula.t -> (Tid.t * float) list
-(** [influence p f] is every variable of [f] with its Birnbaum importance
-    [∂P(f)/∂p(t)], sorted by decreasing importance.  Works for any
-    formula. *)
+val influence :
+  ?deadline:Resilience.Deadline.t -> (Tid.t -> float) -> Formula.t ->
+  (Tid.t * float) list option
+(** [influence p f] is every variable [t] of [f] with its Birnbaum
+    importance [∂P(f)/∂p(t)] (in [\[-1, 1\]], non-negative for monotone
+    [f]), sorted by decreasing importance; [None] when no exact rung of
+    {!Approx.compile} prices [f] within [deadline]. *)
 
-val to_string : ?tier:string -> (Tid.t -> float) -> Formula.t -> string
+val to_string :
+  ?tier:string -> ?deadline:Resilience.Deadline.t -> (Tid.t -> float) ->
+  Formula.t -> string
 (** Multi-line rendering: the witnesses (when monotone) and the top
-    influences — what a CLI "explain" command prints per row.  [?tier]
-    (e.g. ["var"], ["read_once"], ["circuit"], ["shannon"]) prepends a
-    [confidence tier:] line naming the evaluator that priced the row. *)
+    influences ([influence: not available] beyond the exact rungs) —
+    what a CLI "explain" command prints per row.  [?tier] (e.g. ["var"],
+    ["circuit"]) prepends a [confidence tier:] line naming the rung that
+    priced the row. *)

@@ -159,12 +159,3 @@ let monte_carlo ?pool ?fork ?(deadline = Resilience.Deadline.never)
   Obs.stitch fork (Array.map snd outs);
   let hits = Array.fold_left (fun acc (h, _) -> acc + h) 0 outs in
   float_of_int hits /. float_of_int samples
-
-let derivative p f v =
-  if not (Tid.Set.mem v (Formula.vars f)) then 0.0
-  else
-    let f1 = Formula.restrict v true f and f0 = Formula.restrict v false f in
-    exact p f1 -. exact p f0
-
-let confidence p f =
-  if Formula.is_read_once f then read_once p f else exact p f

@@ -12,9 +12,7 @@
       the number of shared variables in the worst case — the general
       problem is #P-hard, cf. Dalvi–Suciu);
     - {!monte_carlo}: unbiased sampling estimator for formulas too entangled
-      for {!exact}.
-
-    {!confidence} picks the cheapest exact strategy automatically. *)
+      for {!exact}. *)
 
 val read_once : (Tid.t -> float) -> Formula.t -> float
 (** [read_once p f] evaluates [f] bottom-up with
@@ -81,15 +79,3 @@ val monte_carlo :
     open) makes each chunk record an ["mc-chunk"] task span; the spans
     are stitched under the captured span in chunk order after the join,
     so the trace tree is identical at any parallelism level. *)
-
-val derivative : (Tid.t -> float) -> Formula.t -> Tid.t -> float
-(** [derivative p f v] is the partial derivative of the confidence of [f]
-    with respect to [p v].  By Shannon expansion
-    [P(f) = p_v * P(f|v=1) + (1 - p_v) * P(f|v=0)], the derivative is
-    [P(f|v=1) - P(f|v=0)] — the classic Birnbaum importance of [v].
-    Always in [\[-1, 1\]]; 0 when [v] does not occur in [f]; non-negative
-    for monotone [f]. *)
-
-val confidence : (Tid.t -> float) -> Formula.t -> float
-(** [confidence p f] computes the exact confidence of [f], using the linear
-    read-once evaluator when applicable and {!exact} otherwise. *)

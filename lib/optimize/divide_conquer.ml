@@ -67,8 +67,8 @@ type outcome = {
    can only undo so much.  The default [Proportional] quota asks each group
    for its fair share [ceil (x * y / n)] of the global requirement and lets
    a global greedy repair pass make up any shortfall; the benches ablate
-   both (see DESIGN.md). *)
-let subproblem config problem members group_bids =
+   both (see DESIGN.md).  Circuits come from the parent's read-only table. *)
+let subproblem config problem ~deadline members group_bids =
   let bases = List.map (Problem.base problem) group_bids in
   let formulas =
     List.map (fun rid -> (Problem.result problem rid).Problem.formula) members
@@ -89,6 +89,7 @@ let subproblem config problem members group_bids =
   Problem.make_exn
     ~delta:(Problem.delta problem)
     ~incremental:(Problem.incremental problem)
+    ~deadline ~circuit:(Problem.circuit problem)
     ~beta:(Problem.beta problem)
     ~required ~bases ~formulas ()
 
@@ -168,7 +169,7 @@ let solve_group config problem parts ~with_metrics ~fork ~now ~deadline gid
           | Some tr -> Obs.Trace.span tr name f
           | None -> f ()
         in
-        let sub = subproblem config problem members group_bids in
+        let sub = subproblem config problem ~deadline members group_bids in
         let greedy_out =
           sub_span "greedy" (fun () ->
               Greedy.solve ~config:config.greedy ?metrics ~deadline sub)

@@ -27,93 +27,51 @@ type t = {
   dedup_formulas : int; (* results sharing another result's class *)
   compiled : (float array -> float) array;
       (* per-class confidence evaluator over the bid-indexed level array *)
-  kinds : string array;
-      (* per-class evaluator kind: "read_once", "circuit", "obdd" or
-         "shannon" — observability for [pcqe explain] and the bench *)
+  kinds : Lineage.Approx.tier option array; (* [None] = unpriceable *)
+  circuits : Lineage.Circuit.t Formula.Table.t; (* read-only after [make] *)
 }
 
-(* Compile a formula into a closure over the level array.  Read-once
-   formulas get a direct arithmetic tree; entangled ones are compiled once
-   into a d-DNNF circuit, or failing that an OBDD, whose evaluation is
-   linear in its size on every call (the solvers re-evaluate the same
-   lineage under thousands of different assignments); pathological
-   formulas whose BDD explodes fall back to per-call Shannon expansion. *)
-let bdd_size_cap = 10_000
-
-(* Allocation headroom for the OBDD build: the construction may allocate
-   intermediate nodes that the final reduced root does not reach, so the
-   early-abort budget is a multiple of the reachable-size cap. *)
-let bdd_construction_slack = 4
-
-let compile base_index formula =
-  if Formula.is_read_once formula then begin
-    let rec go = function
-      | Formula.True -> fun _ -> 1.0
-      | Formula.False -> fun _ -> 0.0
-      | Formula.Var tid ->
-        let bid = Tid.Table.find base_index tid in
-        fun levels -> levels.(bid)
-      | Formula.Not f ->
-        let g = go f in
-        fun levels -> 1.0 -. g levels
-      | Formula.And fs ->
-        let gs = Array.of_list (List.map go fs) in
-        fun levels ->
-          let acc = ref 1.0 in
-          for i = 0 to Array.length gs - 1 do
-            acc := !acc *. gs.(i) levels
-          done;
-          !acc
-      | Formula.Or fs ->
-        let gs = Array.of_list (List.map go fs) in
-        fun levels ->
-          let acc = ref 1.0 in
-          for i = 0 to Array.length gs - 1 do
-            acc := !acc *. (1.0 -. gs.(i) levels)
-          done;
-          1.0 -. !acc
-    in
-    (go formula, "read_once")
-  end
-  else begin
-    let lookup levels tid =
-      match Tid.Table.find_opt base_index tid with
-      | Some bid -> levels.(bid)
-      | None -> 0.0
-    in
-    let shannon levels = Lineage.Prob.exact (lookup levels) formula in
-    let obdd_or_shannon () =
-      let manager = Lineage.Bdd.manager () in
-      (* Abort the OBDD build as soon as it allocates past the budget (a
-         pathological formula used to pay the full blowup and then discard
-         it); a completed build still goes through the reachable-size check
-         that decided the fallback before the early abort existed. *)
-      match
-        Lineage.Bdd.of_formula
-          ~size_cap:(bdd_size_cap * bdd_construction_slack)
-          manager formula
-      with
-      | exception Lineage.Bdd.Size_cap_exceeded -> (shannon, "shannon")
-      | bdd ->
-        if Lineage.Bdd.size bdd > bdd_size_cap then (shannon, "shannon")
-        else
-          ((fun levels -> Lineage.Bdd.prob manager (lookup levels) bdd), "obdd")
-    in
-    (* d-DNNF circuit first: one compile (the cost of one exact
-       evaluation), then every solver probe is a linear pass.  [eval]
-       allocates its scratch per call, so concurrent probes from a
-       pooled solver are safe — matching the per-call allocation of
-       [Bdd.prob] and the Shannon closure.  A node-cap overflow falls
-       back to the OBDD/Shannon pair. *)
-    match Lineage.Circuit.compile_opt formula with
-    | Some c ->
-      ((fun levels -> Lineage.Circuit.eval c (lookup levels)), "circuit")
-    | None -> obdd_or_shannon ()
-  end
+(* Compile one class into a closure over the level array through the
+   ladder's exact rungs; the Var and read-once ones run as a closure tree
+   that reads levels directly, with no table lookup per leaf.  An
+   unpriceable class evaluates to 0.0, so no solver counts it satisfied. *)
+let compile ?deadline ~circuit base_index formula =
+  let rec go = function
+    | Formula.True -> fun _ -> 1.0
+    | Formula.False -> fun _ -> 0.0
+    | Formula.Var tid ->
+      let bid = Tid.Table.find base_index tid in
+      fun levels -> levels.(bid)
+    | Formula.Not f ->
+      let g = go f in
+      fun levels -> 1.0 -. g levels
+    | Formula.And fs ->
+      let gs = Array.of_list (List.map go fs) in
+      fun levels ->
+        let acc = ref 1.0 in
+        for i = 0 to Array.length gs - 1 do
+          acc := !acc *. gs.(i) levels
+        done;
+        !acc
+    | Formula.Or fs ->
+      let gs = Array.of_list (List.map go fs) in
+      fun levels ->
+        let acc = ref 1.0 in
+        for i = 0 to Array.length gs - 1 do
+          acc := !acc *. (1.0 -. gs.(i) levels)
+        done;
+        1.0 -. !acc
+  in
+  let level levels tid = levels.(Tid.Table.find base_index tid) in
+  match Lineage.Approx.compile ?deadline ~circuit formula with
+  | ((Var | Read_once) as tier), Some _ -> (go formula, Some tier)
+  | tier, Some eval -> ((fun levels -> eval (level levels)), Some tier)
+  | _, None -> ((fun _ -> 0.0), None)
 
 let ( let* ) = Result.bind
 
-let make ?(delta = 0.1) ?(incremental = true) ~beta ~required ~bases ~formulas
+let make ?(delta = 0.1) ?(incremental = true) ?deadline
+    ?(circuit = Lineage.Approx.build_circuit) ~beta ~required ~bases ~formulas
     () =
   let* () =
     if not (beta >= 0.0 && beta <= 1.0) then
@@ -229,7 +187,15 @@ let make ?(delta = 0.1) ?(incremental = true) ~beta ~required ~bases ~formulas
     class_formulas;
   Array.iteri (fun i l -> classes_of_base.(i) <- List.rev l) classes_of_base;
   Array.iteri (fun i l -> bases_of_class.(i) <- List.rev l) bases_of_class;
-  let compiled_kinds = Array.map (compile base_index) class_formulas in
+  let circuits = Formula.Table.create 16 in
+  let circuit f =
+    let c = circuit f in
+    Option.iter (Formula.Table.replace circuits f) c;
+    c
+  in
+  let compiled_kinds =
+    Array.map (compile ?deadline ~circuit base_index) class_formulas
+  in
   let compiled = Array.map fst compiled_kinds in
   let kinds = Array.map snd compiled_kinds in
   Ok
@@ -250,15 +216,20 @@ let make ?(delta = 0.1) ?(incremental = true) ~beta ~required ~bases ~formulas
       dedup_formulas = nr - num_classes;
       compiled;
       kinds;
+      circuits;
     }
 
-let make_exn ?delta ?incremental ~beta ~required ~bases ~formulas () =
-  match make ?delta ?incremental ~beta ~required ~bases ~formulas () with
+let make_exn ?delta ?incremental ?deadline ?circuit ~beta ~required ~bases
+    ~formulas () =
+  match
+    make ?delta ?incremental ?deadline ?circuit ~beta ~required ~bases ~formulas
+      ()
+  with
   | Ok t -> t
   | Error msg -> invalid_arg ("Problem.make: " ^ msg)
 
-let of_query_results ?delta ?incremental ?required ~released ~theta ~beta
-    ~cost_of ~cap_of db (res : Relational.Eval.annotated) =
+let of_query_results ?delta ?deadline ?circuit ~released ~theta ~beta ~cost_of
+    ~cap_of db (res : Relational.Eval.annotated) =
   let* () =
     if not (theta >= 0.0 && theta <= 1.0) then
       Error (Printf.sprintf "theta %g outside [0,1]" theta)
@@ -278,13 +249,8 @@ let of_query_results ?delta ?incremental ?required ~released ~theta ~beta
     (fun i ok -> if ok then incr satisfied else failing := i :: !failing)
     released;
   let failing = List.rev !failing in
-  let required =
-    match required with
-    | Some r -> r
-    | None ->
-      let want = int_of_float (ceil (theta *. float_of_int n)) in
-      max 0 (min (List.length failing) (want - !satisfied))
-  in
+  let want = int_of_float (ceil (theta *. float_of_int n)) in
+  let required = max 0 (min (List.length failing) (want - !satisfied)) in
   (* collect base tuples of failing results *)
   let formulas =
     List.map (fun i -> rows.(i).Relational.Eval.lineage) failing
@@ -305,7 +271,7 @@ let of_query_results ?delta ?incremental ?required ~released ~theta ~beta
         })
       (Tid.Set.elements tid_set)
   in
-  let* t = make ?delta ?incremental ~beta ~required ~bases ~formulas () in
+  let* t = make ?delta ?deadline ?circuit ~beta ~required ~bases ~formulas () in
   Ok (t, failing)
 
 let beta t = t.beta
@@ -328,6 +294,11 @@ let classes_of_base t bid = t.classes_of_base.(bid)
 let bases_of_class t cid = t.bases_of_class.(cid)
 let dedup_formulas t = t.dedup_formulas
 let evaluator_kind t cid = t.kinds.(cid)
+
+let unpriceable t =
+  Array.fold_left (fun n k -> if k = None then n + 1 else n) 0 t.kinds
+
+let circuit t f = Formula.Table.find_opt t.circuits f
 
 let eval_class t levels cid = t.compiled.(cid) levels
 

@@ -30,6 +30,8 @@ type t
 val make :
   ?delta:float ->
   ?incremental:bool ->
+  ?deadline:Resilience.Deadline.t ->
+  ?circuit:(Lineage.Formula.t -> Lineage.Circuit.t option) ->
   beta:float ->
   required:int ->
   bases:base list ->
@@ -46,11 +48,15 @@ val make :
     {e evaluation classes} (see {!class_of_result}) and {!State.t} routes
     single-base changes through affine coefficient caches.  [false] forces
     the baseline layout — one class per result, every re-evaluation a full
-    compiled-evaluator call — used by the A/B bench panel and tests. *)
+    compiled-evaluator call — used by the A/B bench panel and tests.
+    Class evaluators come from {!Lineage.Approx.compile} under
+    [deadline] and [circuit]; an {e unpriceable} class evaluates to 0. *)
 
 val make_exn :
   ?delta:float ->
   ?incremental:bool ->
+  ?deadline:Resilience.Deadline.t ->
+  ?circuit:(Lineage.Formula.t -> Lineage.Circuit.t option) ->
   beta:float ->
   required:int ->
   bases:base list ->
@@ -60,8 +66,8 @@ val make_exn :
 
 val of_query_results :
   ?delta:float ->
-  ?incremental:bool ->
-  ?required:int ->
+  ?deadline:Resilience.Deadline.t ->
+  ?circuit:(Lineage.Formula.t -> Lineage.Circuit.t option) ->
   released:bool array ->
   theta:float ->
   beta:float ->
@@ -75,12 +81,12 @@ val of_query_results :
     strategy finding.  [released.(i)] is the policy filter's verdict on
     row [i] of [res] (confidence proven strictly above β); the rows it
     did not release become the instance's intermediate results — no row
-    is priced again here.  [required] defaults to
+    is priced again here.  [required] is
     [⌈θ*n⌉ - satisfied] where [n] counts all results (the paper's
     [(θ - θ′)*n]), clamped to the number of failing results.  Also
     returns the indices (into [res.rows]) of the failing rows, in
     instance order.  Errors when [released] is not index-aligned with
-    the rows. *)
+    the rows.  [deadline] and [circuit] are passed to {!make}. *)
 
 (** {1 Accessors} *)
 
@@ -133,11 +139,14 @@ val dedup_formulas : t -> int
 (** Number of results that share another result's class
     ([num_results - num_classes]; [0] when [incremental] is off). *)
 
-val evaluator_kind : t -> int -> string
-(** [evaluator_kind t cid] names the compiled evaluator backing class
-    [cid] — ["read_once"], ["circuit"], ["obdd"] or ["shannon"] —
-    observability for the bench panel and tests.  A non-read-once class
-    is ["circuit"] whenever it compiles within the node cap. *)
+val evaluator_kind : t -> int -> Lineage.Approx.tier option
+(** The ladder rung backing class [cid], [None] if it is unpriceable. *)
+
+val unpriceable : t -> int
+(** Number of unpriceable classes. *)
+
+val circuit : t -> Lineage.Formula.t -> Lineage.Circuit.t option
+(** A circuit-rung class's circuit; read-only, so safe in pool tasks. *)
 
 val eval_class : t -> float array -> int -> float
 (** [eval_class t levels cid] evaluates one class's compiled formula over
@@ -147,7 +156,7 @@ val eval_result : t -> float array -> int -> float
 (** [eval_result t levels rid] is the confidence of result [rid] when base
     [bid] has confidence [levels.(bid)].  Formulas are compiled once at
     {!make} time: read-once lineage evaluates in linear time directly over
-    the array; entangled lineage falls back to exact Shannon expansion.
+    the array; entangled lineage through its compiled circuit or OBDD.
     This is the hot path of every solver; equals
     [eval_class t levels (class_of_result t rid)]. *)
 

@@ -249,6 +249,14 @@ let solve ?(algorithm = divide_conquer) ?obs ?jobs ?pool ?now
       "solve"
       (fun () ->
         let out = run () in
+        (* no solution on unpriceable lineage proves nothing *)
+        let out =
+          match out with
+          | { solution = None; resolution = Complete; _ }
+            when Problem.unpriceable problem > 0 ->
+            { out with resolution = Partial { reason = "unpriceable lineage" } }
+          | _ -> out
+        in
         (match out.resolution with
         | Complete -> ()
         | Partial { reason } ->

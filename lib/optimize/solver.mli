@@ -47,7 +47,8 @@ val render_stats : stats -> string
 type resolution =
   | Complete  (** the algorithm ran to its natural end *)
   | Partial of { reason : string }
-      (** a deadline or budget stopped it early; the outcome carries the
+      (** a deadline or budget stopped it early, or it found no solution
+          on {!Problem.unpriceable} lineage; the outcome carries the
           best-so-far answer.  [solution], when [Some], is still {e
           feasible} — an infeasible best effort is reported as [None] —
           so a partial resolution degrades optimality, never

@@ -251,10 +251,17 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
                        Lineage.Approx.releasable ~beta est = `Release)
                      with_conf)
               in
+              (* with serving caches, the circuits the confidence stage
+                 compiled price the solver probes and the projection *)
+              let circuit =
+                Option.map
+                  (fun caches -> Conf_cache.circuit ?obs (Caches.conf caches))
+                  ctx.caches
+              in
               let* problem, _failing =
                 Optimize.Problem.of_query_results ~released ~delta:ctx.delta
-                  ~theta:perc ~beta ~cost_of:ctx.cost_of ~cap_of:ctx.cap_of
-                  ctx.db res
+                  ~deadline ?circuit ~theta:perc ~beta ~cost_of:ctx.cost_of
+                  ~cap_of:ctx.cap_of ctx.db res
               in
               let out =
                 Optimize.Solver.solve ~algorithm:ctx.solver ?obs
@@ -285,20 +292,13 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
                   | Some target -> Float.max current target
                   | None -> current
                 in
-                (* with serving caches, the classes' circuits compiled by
-                   the confidence stage re-price them in one linear pass *)
-                let circuit =
-                  Option.map
-                    (fun caches -> Conf_cache.circuit ?obs (Caches.conf caches))
-                    ctx.caches
-                in
                 let projected_release =
                   List.fold_left
                     (fun acc row ->
                       match
                         Lineage.Approx.releasable ~beta
-                          (Lineage.Approx.confidence ?circuit conf_after
-                             row.Relational.Eval.lineage)
+                          (Lineage.Approx.confidence ~deadline ?circuit
+                             conf_after row.Relational.Eval.lineage)
                       with
                       | `Release -> acc + 1
                       | `Withhold | `Ambiguous -> acc)

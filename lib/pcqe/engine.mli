@@ -140,8 +140,8 @@ type response = {
           [degraded] instead — an early stop proves nothing. *)
   degraded : string option;
       (** [Some reason] when the per-answer deadline stopped strategy
-          finding early (see {!proposal.resolution}); the reason also
-          lands in the audit log *)
+          finding early or it found nothing on unpriceable lineage (see
+          {!proposal.resolution}); the reason also lands in the audit log *)
   profile : Obs.Profile.t option;
       (** present iff [ctx.profile]: the request's per-stage profile —
           span path, elapsed, allocated bytes and attributes per stage,

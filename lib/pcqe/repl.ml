@@ -362,13 +362,14 @@ let meta t line =
         let* plan = Relational.Rewrite.optimize t.ctx.Engine.db plan in
         let* res = Relational.Eval.run t.ctx.Engine.db plan in
         let p = Db.confidence_fn t.ctx.Engine.db in
+        let deadline = Resilience.Deadline.start t.ctx.Engine.deadline in
         let buf = Buffer.create 512 in
         List.iteri
           (fun i row ->
             if i < 20 then begin
               let tier = ref "" in
               let est =
-                Lineage.Approx.confidence
+                Lineage.Approx.confidence ~deadline
                   ~on_tier:(fun t -> tier := Lineage.Approx.tier_name t)
                   p row.Relational.Eval.lineage
               in
@@ -377,7 +378,7 @@ let meta t line =
                    (Relational.Tuple.to_string row.Relational.Eval.tuple)
                    (Lineage.Approx.point est));
               Buffer.add_string buf
-                (Lineage.Explain.to_string ~tier:!tier p
+                (Lineage.Explain.to_string ~tier:!tier ~deadline p
                    row.Relational.Eval.lineage)
             end)
           res.Relational.Eval.rows;

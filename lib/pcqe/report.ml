@@ -109,8 +109,8 @@ let response_to_string ?max_rows (r : Engine.response) =
       | Some reason ->
         Buffer.add_string buf
           (Printf.sprintf
-             "DEGRADED: strategy finding stopped early (%s) with no feasible \
-              plan yet — retry with a larger budget.\n"
+             "DEGRADED: strategy finding ended without a feasible plan \
+              (%s); that proves nothing about feasibility.\n"
              reason)
       | None -> ()));
   Buffer.contents buf

@@ -66,32 +66,39 @@ let numeric_of_value = function
 let compute_agg db schema (a : Algebra.agg) members =
   (* SQL semantics: NULLs are ignored by aggregates; COUNT star counts rows.
      Expected aggregates weight members by the probability of their
-     lineage. *)
-  let member_prob r =
-    Lineage.Prob.confidence (Database.confidence_fn db) r.lineage
+     lineage; a member the ladder cannot price is an error, never a NaN. *)
+  let p = Database.confidence_fn db in
+  let expected weight =
+    List.fold_left
+      (fun acc r ->
+        let* total = acc in
+        match weight r with
+        | Error msg -> Error msg
+        | Ok None -> Ok total
+        | Ok (Some w) -> (
+          match Lineage.Approx.confidence p r.lineage with
+          | Lineage.Approx.Failed why -> Error ("expected aggregate: " ^ why)
+          | est -> Ok (total +. (Lineage.Approx.point est *. w))))
+      (Ok 0.0) members
+    |> Result.map (fun total -> Value.Float total)
   in
   match a.Algebra.fn with
   | Algebra.CountStar -> Ok (Value.Int (List.length members))
-  | Algebra.Expected_count ->
-    Ok (Value.Float (List.fold_left (fun acc r -> acc +. member_prob r) 0.0 members))
+  | Algebra.Expected_count -> expected (fun _ -> Ok (Some 1.0))
   | Algebra.Expected_sum -> (
     let arg = Option.get a.Algebra.arg in
     match Schema.find_index schema arg with
     | Error _ -> Error (Printf.sprintf "aggregate: unknown column %S" arg)
     | Ok i ->
-      List.fold_left
-        (fun acc r ->
-          let ( let* ) = Result.bind in
-          let* total = acc in
+      expected (fun r ->
           match Tuple.get r.tuple i with
-          | Value.Null -> Ok total
-          | Value.Int n -> Ok (total +. (member_prob r *. float_of_int n))
-          | Value.Float f -> Ok (total +. (member_prob r *. f))
+          | Value.Null -> Ok None
+          | Value.Int n -> Ok (Some (float_of_int n))
+          | Value.Float f -> Ok (Some f)
           | v ->
             Error
-              (Printf.sprintf "ESUM over non-numeric value %s" (Value.to_string v)))
-        (Ok 0.0) members
-      |> Result.map (fun total -> Value.Float total))
+              (Printf.sprintf "ESUM over non-numeric value %s"
+                 (Value.to_string v))))
   | fn -> (
     let arg = Option.get a.Algebra.arg in
     match Schema.find_index schema arg with

@@ -95,7 +95,9 @@ let required_of ~theta ~beta bases formulas =
   let n = List.length formulas in
   let satisfied =
     List.fold_left
-      (fun acc f -> if Lineage.Prob.confidence lookup f > beta then acc + 1 else acc)
+      (fun acc f ->
+        if Lineage.Approx.(releasable ~beta (confidence lookup f)) = `Release
+        then acc + 1 else acc)
       0 formulas
   in
   let want = int_of_float (ceil (theta *. float_of_int n)) in

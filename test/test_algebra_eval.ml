@@ -29,7 +29,7 @@ let mk_db () =
 
 (* exact confidence of one result row: the possible-worlds reference *)
 let confidence db (r : E.row) =
-  Lineage.Prob.confidence (Relational.Database.confidence_fn db) r.E.lineage
+  Lineage.Prob.exact (Relational.Database.confidence_fn db) r.E.lineage
 
 let run db plan =
   match E.run db plan with

@@ -177,7 +177,7 @@ let build_engine ~deadline =
 let exact_confidences ctx (resp : E.response) =
   List.map
     (fun (row : E.released) ->
-      Lineage.Prob.confidence (Db.confidence_fn ctx.E.db) row.E.lineage)
+      Lineage.Prob.exact (Db.confidence_fn ctx.E.db) row.E.lineage)
     resp.E.released
 
 let test_engine_never_releases_below_beta_under_faults () =

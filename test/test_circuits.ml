@@ -194,7 +194,8 @@ let test_solver_identity () =
   (* the instance really is circuit-backed *)
   let circuit_classes = ref 0 in
   for cid = 0 to Problem.num_classes pb - 1 do
-    if Problem.evaluator_kind pb cid = "circuit" then incr circuit_classes
+    if Problem.evaluator_kind pb cid = Some Lineage.Approx.Circuit then
+      incr circuit_classes
   done;
   Alcotest.(check bool) "some circuit-backed classes" true (!circuit_classes > 0);
   List.iter

@@ -75,12 +75,13 @@ let test_influence_ranking () =
   let f = F.conj [ F.disj [ v 2; v 3 ]; v 13 ] in
   let p tid = match tid.Tid.row with 2 -> 0.3 | 3 -> 0.4 | _ -> 0.1 in
   match X.influence p f with
-  | (first, d1) :: rest ->
+  | Some ((first, d1) :: rest) ->
     (* t13 gates the whole conjunction: dP/dp13 = 0.58 dominates *)
     Alcotest.(check string) "t13 most influential" "t#13" (Tid.to_string first);
     Alcotest.(check (float 1e-9)) "value" 0.58 d1;
     Alcotest.(check int) "all vars listed" 2 (List.length rest)
-  | [] -> Alcotest.fail "no influences"
+  | Some [] -> Alcotest.fail "no influences"
+  | None -> Alcotest.fail "read-once lineage has an exact rung"
 
 let test_to_string () =
   let f = F.conj [ v 0; v 1 ] in
@@ -93,6 +94,23 @@ let test_to_string () =
   Alcotest.(check bool) "witnesses section" true (contains "witnesses");
   Alcotest.(check bool) "influence section" true (contains "influence");
   Alcotest.(check bool) "mentions tuples" true (contains "t#0")
+
+let test_influence_beyond_exact_rungs () =
+  (* sliding-window pairs over 16 variables: every variable repeats, so
+     the circuit rung is gated out, and an expired deadline stops the
+     OBDD rung before its build *)
+  let f = F.disj (List.init 16 (fun i -> F.conj [ v i; v ((i + 1) mod 16) ])) in
+  let deadline = Resilience.Deadline.logical 0 in
+  let p _ = 0.5 in
+  Alcotest.(check bool) "no influence" true (X.influence ~deadline p f = None);
+  let text = X.to_string ~deadline p f in
+  let needle = "influence: not available" in
+  let n = String.length needle and h = String.length text in
+  let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
+  Alcotest.(check bool) "rendered as not available" true (go 0);
+  (* without a deadline the OBDD rung answers *)
+  Alcotest.(check bool) "priced without a deadline" true
+    (X.influence p f <> None)
 
 (* property: every witness satisfies the formula; removing any element
    breaks it (minimality) *)
@@ -172,6 +190,8 @@ let () =
         [
           Alcotest.test_case "ranking" `Quick test_influence_ranking;
           Alcotest.test_case "rendering" `Quick test_to_string;
+          Alcotest.test_case "beyond the exact rungs" `Quick
+            test_influence_beyond_exact_rungs;
         ] );
       ( "properties",
         [

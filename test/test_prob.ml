@@ -8,6 +8,10 @@ module Tid = Lineage.Tid
 
 let v i = F.var (Tid.make "t" i)
 
+(* the confidence ladder, the one lineage pricer: exact on every formula
+   these tests build *)
+let confidence p f = Lineage.Approx.point (Lineage.Approx.confidence p f)
+
 (* brute-force probability by enumerating all worlds over the formula's
    variables *)
 let brute_force p f =
@@ -59,18 +63,18 @@ let test_paper_example () =
   let p tid =
     match tid.Tid.row with 2 -> 0.3 | 3 -> 0.4 | 13 -> 0.1 | _ -> 0.0
   in
-  Alcotest.(check (float 1e-12)) "p38" 0.058 (P.confidence p f);
+  Alcotest.(check (float 1e-12)) "p38" 0.058 (confidence p f);
   (* raising p03 to 0.5 gives 0.065 *)
   let p' tid = if tid.Tid.row = 3 then 0.5 else p tid in
-  Alcotest.(check (float 1e-12)) "p38 after increment" 0.065 (P.confidence p' f)
+  Alcotest.(check (float 1e-12)) "p38 after increment" 0.065 (confidence p' f)
 
 let test_constants () =
-  Alcotest.(check (float 0.0)) "true" 1.0 (P.confidence (const_p 0.5) F.tru);
-  Alcotest.(check (float 0.0)) "false" 0.0 (P.confidence (const_p 0.5) F.fls)
+  Alcotest.(check (float 0.0)) "true" 1.0 (confidence (const_p 0.5) F.tru);
+  Alcotest.(check (float 0.0)) "false" 0.0 (confidence (const_p 0.5) F.fls)
 
 let test_negation () =
   let f = F.neg (v 0) in
-  Alcotest.(check (float 1e-12)) "not" 0.7 (P.confidence (const_p 0.3) f)
+  Alcotest.(check (float 1e-12)) "not" 0.7 (confidence (const_p 0.3) f)
 
 let test_exact_on_shared_vars () =
   (* (t0 & t1) | (t0 & t2): not read-once; P = p0*(p1 + p2 - p1*p2) *)
@@ -78,7 +82,7 @@ let test_exact_on_shared_vars () =
   let p = p_by_row [| 0.5; 0.4; 0.2 |] in
   let expect = 0.5 *. (0.4 +. 0.2 -. 0.08) in
   Alcotest.(check (float 1e-12)) "shannon" expect (P.exact p f);
-  Alcotest.(check (float 1e-12)) "dispatcher agrees" expect (P.confidence p f)
+  Alcotest.(check (float 1e-12)) "dispatcher agrees" expect (confidence p f)
 
 let test_exact_with_negation_sharing () =
   (* t0 | (!t0 & t1) = t0 | t1 *)
@@ -128,14 +132,21 @@ let gen_formula =
 
 let arb_formula = QCheck.make ~print:F.to_string gen_formula
 
+(* Birnbaum importance, computed by [Explain.influence] over the
+   ladder's compiled evaluator (0 for a variable the formula lacks) *)
+let derivative p f v =
+  match Lineage.Explain.influence p f with
+  | None -> Alcotest.fail "influence not available"
+  | Some ranked -> Option.value (List.assoc_opt v ranked) ~default:0.0
+
 let test_derivative_basics () =
   let f = F.conj [ F.disj [ v 2; v 3 ]; v 13 ] in
   let p tid = match tid.Tid.row with 2 -> 0.3 | 3 -> 0.4 | 13 -> 0.1 | _ -> 0.0 in
   (* dP/dp13 = p02 + p03 - p02*p03 = 0.58 *)
-  Alcotest.(check (float 1e-12)) "d/dp13" 0.58 (P.derivative p f (Tid.make "t" 13));
+  Alcotest.(check (float 1e-12)) "d/dp13" 0.58 (derivative p f (Tid.make "t" 13));
   (* dP/dp3 = p13 * (1 - p02) = 0.07 *)
-  Alcotest.(check (float 1e-12)) "d/dp3" 0.07 (P.derivative p f (Tid.make "t" 3));
-  Alcotest.(check (float 0.0)) "absent var" 0.0 (P.derivative p f (Tid.make "t" 99))
+  Alcotest.(check (float 1e-12)) "d/dp3" 0.07 (derivative p f (Tid.make "t" 3));
+  Alcotest.(check (float 0.0)) "absent var" 0.0 (derivative p f (Tid.make "t" 99))
 
 let qcheck_derivative_matches_finite_difference =
   QCheck.Test.make ~name:"derivative matches finite differences" ~count:300
@@ -147,7 +158,7 @@ let qcheck_derivative_matches_finite_difference =
       let eps = 1e-6 in
       let p_plus tid = if Tid.equal tid v then values.(1) +. eps else p tid in
       let fd = (P.exact p_plus f -. P.exact p f) /. eps in
-      Float.abs (P.derivative p f v -. fd) < 1e-4)
+      Float.abs (derivative p f v -. fd) < 1e-4)
 
 let qcheck_monotone_derivative_nonnegative =
   QCheck.Test.make ~name:"monotone formulas have non-negative derivatives"
@@ -155,7 +166,7 @@ let qcheck_monotone_derivative_nonnegative =
     (fun f ->
       QCheck.assume (F.is_monotone f);
       let p tid = [| 0.2; 0.4; 0.6; 0.8 |].(tid.Tid.row) in
-      P.derivative p f (Tid.make "t" 0) >= -1e-12)
+      derivative p f (Tid.make "t" 0) >= -1e-12)
 
 let qcheck_exact_matches_brute_force =
   QCheck.Test.make ~name:"exact matches brute force" ~count:300 arb_formula
@@ -167,7 +178,7 @@ let qcheck_confidence_in_unit_interval =
   QCheck.Test.make ~name:"confidence lies in [0,1]" ~count:300 arb_formula
     (fun f ->
       let p = p_by_row [| 0.1; 0.5; 0.9; 0.33 |] in
-      let c = P.confidence p f in
+      let c = confidence p f in
       c >= -1e-12 && c <= 1.0 +. 1e-12)
 
 let qcheck_monotone_formulas_monotone_in_p =
@@ -177,7 +188,7 @@ let qcheck_monotone_formulas_monotone_in_p =
       QCheck.assume (F.is_monotone f);
       let lo = p_by_row [| 0.1; 0.2; 0.3; 0.4 |] in
       let hi = p_by_row [| 0.2; 0.3; 0.4; 0.5 |] in
-      P.confidence lo f <= P.confidence hi f +. 1e-12)
+      confidence lo f <= confidence hi f +. 1e-12)
 
 let qcheck_read_once_agrees_when_applicable =
   QCheck.Test.make ~name:"read_once agrees with exact on read-once formulas"

@@ -82,7 +82,9 @@ let test_eval_result_non_read_once () =
       ()
   in
   let levels = [| 0.5; 0.4; 0.2 |] in
-  Alcotest.(check (float 1e-9)) "shannon through compiled eval"
+  Alcotest.(check bool) "priced by the circuit rung" true
+    (Problem.evaluator_kind p 0 = Some Lineage.Approx.Circuit);
+  Alcotest.(check (float 1e-9)) "circuit rung through compiled eval"
     (0.5 *. (0.4 +. 0.2 -. 0.08))
     (Problem.eval_result p levels 0)
 
@@ -185,8 +187,9 @@ let test_gain_only_unsatisfied () =
     (without_sat < with_sat)
 
 let test_bdd_compiled_eval_matches_exact () =
-  (* non-read-once lineage from the DAG generator: the BDD-compiled
-     evaluator must agree with per-call Shannon expansion *)
+  (* non-read-once lineage from the DAG generator: the compiled
+     evaluator (the ladder's circuit rung) must agree with per-call
+     Shannon expansion *)
   let rng = Prng.Splitmix.of_int 31 in
   for _ = 1 to 20 do
     let tids = List.init 6 (Tid.make "d") in
@@ -210,6 +213,60 @@ let test_bdd_compiled_eval_matches_exact () =
       (Problem.eval_result p levels 0)
   done
 
+(* H0 lineage, R(A) ⋈ S(A, B) ⋈ T(B) over a 60%-dense S: every R and T
+   tuple repeats, past the circuit gate, and its OBDD overflows the
+   ladder's node cap — no exact rung prices it *)
+let test_unpriceable_class () =
+  let rng = Prng.Splitmix.of_int 7 in
+  let r a = Tid.make "r" a and s a b = Tid.make "s" ((a * 12) + b) in
+  let tt b = Tid.make "t" b in
+  let edges =
+    List.concat_map
+      (fun a ->
+        List.filter_map
+          (fun b ->
+            if Prng.Splitmix.float_in rng 0.0 1.0 < 0.6 then Some (a, b)
+            else None)
+          (List.init 12 Fun.id))
+      (List.init 12 Fun.id)
+  in
+  let f =
+    F.disj
+      (List.map
+         (fun (a, b) -> F.conj [ F.var (r a); F.var (s a b); F.var (tt b) ])
+         edges)
+  in
+  let bases =
+    List.map
+      (fun tid ->
+        { Problem.tid; p0 = Prng.Splitmix.float_in rng 0.1 0.9; cap = 1.0;
+          cost = C.linear ~rate:10.0 })
+      (Tid.Set.elements (F.vars f))
+  in
+  let t0 = Unix.gettimeofday () in
+  let p = Problem.make_exn ~beta:0.999 ~required:1 ~bases ~formulas:[ f ] () in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "make is prompt (%.2f s)" wall) true
+    (wall < 2.0);
+  Alcotest.(check bool) "unpriceable" true (Problem.evaluator_kind p 0 = None);
+  Alcotest.(check int) "counted" 1 (Problem.unpriceable p);
+  let full = Array.map (fun b -> b.Problem.cap) (Problem.bases p) in
+  Alcotest.(check (float 0.0)) "evaluates to 0 even at the caps" 0.0
+    (Problem.eval_result p full 0);
+  List.iter
+    (fun (name, algorithm) ->
+      let o = Optimize.Solver.solve ~algorithm ~jobs:1 p in
+      Alcotest.(check (list int)) (name ^ ": not satisfied") []
+        o.Optimize.Solver.satisfied;
+      Alcotest.(check bool) (name ^ ": no solution") true
+        (o.Optimize.Solver.solution = None))
+    [
+      ("greedy", Optimize.Solver.greedy);
+      ("divide-and-conquer", Optimize.Solver.divide_conquer);
+      ("annealing", Optimize.Solver.annealing);
+      ("heuristic", Optimize.Solver.heuristic);
+    ]
+
 let test_of_query_results () =
   (* build a tiny database and query, then derive the instance *)
   let open Relational in
@@ -224,7 +281,7 @@ let test_of_query_results () =
     Array.of_list
       (List.map
          (fun (r : Eval.row) ->
-           Lineage.Prob.confidence (Database.confidence_fn db) r.Eval.lineage
+           Lineage.Prob.exact (Database.confidence_fn db) r.Eval.lineage
            > 0.5)
          res.Eval.rows)
   in
@@ -261,6 +318,7 @@ let () =
           Alcotest.test_case "eval non-read-once" `Quick test_eval_result_non_read_once;
           Alcotest.test_case "bdd compiled eval" `Quick test_bdd_compiled_eval_matches_exact;
           Alcotest.test_case "of_query_results" `Quick test_of_query_results;
+          Alcotest.test_case "unpriceable class" `Quick test_unpriceable_class;
         ] );
       ( "state",
         [

@@ -614,6 +614,32 @@ let test_h0_default_mode_finishes () =
   let resp = ok (E.answer ctx h0_request) in
   Alcotest.(check int) "released at beta 0.3" 1 (List.length resp.E.released)
 
+(* Strategy finding on H0: the row's lineage is beyond every exact rung,
+   so its class is unpriceable and no solver probe may hang on it *)
+let test_h0_strategy_finding_bounded () =
+  let request = { h0_request with E.perc = 1.0 } in
+  let timed label deadline =
+    let ctx = h0_context ~beta:0.999 ~deadline in
+    let t0 = Unix.gettimeofday () in
+    let resp = ok (E.answer ctx request) in
+    let wall = Unix.gettimeofday () -. t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: under 2 s (%.2f s)" label wall)
+      true (wall < 2.0);
+    Alcotest.(check int) (label ^ ": nothing released") 0
+      (List.length resp.E.released);
+    Alcotest.(check bool) (label ^ ": never infeasible") false resp.E.infeasible;
+    Alcotest.(check bool) (label ^ ": degraded") true (resp.E.degraded <> None);
+    let obs = Option.get ctx.E.obs in
+    Alcotest.(check int) (label ^ ": counted as degraded") 1
+      (Obs.Metrics.counter obs.Obs.metrics "resilience.degraded_answers");
+    resp
+  in
+  ignore (timed "logical 200" (DL.Logical 200));
+  let resp = timed "no deadline" DL.No_deadline in
+  Alcotest.(check (option string)) "reason" (Some "unpriceable lineage")
+    resp.E.degraded
+
 let test_engine_confidence_deadline_withholds () =
   (* an exhausted logical budget: the H0 row cannot be priced, so it is
      withheld and counted, never released *)
@@ -696,5 +722,7 @@ let () =
             test_h0_default_mode_finishes;
           Alcotest.test_case "expired budget withholds" `Quick
             test_engine_confidence_deadline_withholds;
+          Alcotest.test_case "H0 strategy finding is bounded" `Quick
+            test_h0_strategy_finding_bounded;
         ] );
     ]

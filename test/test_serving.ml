@@ -250,6 +250,45 @@ let test_accept_proposal_reuse () =
   Alcotest.(check int) "every untouched class reused" (4 - dirty)
     (stat session "serving.reused_classes" - reused0)
 
+(* Strategy finding prices its solver probes with the circuits the
+   confidence stage compiled into the serving cache: running it builds
+   no circuit of its own. *)
+let test_strategy_finding_reuses_circuits () =
+  let r = R.create "R" (S.of_list [ ("k", V.TInt); ("n", V.TInt) ]) in
+  let db =
+    List.fold_left
+      (fun db i ->
+        fst (Db.insert (db : Db.t) "R" [ V.Int (i mod 2); V.Int i ] ~conf:0.3))
+      (Db.add_relation Db.empty r) (List.init 6 Fun.id)
+  in
+  let policies =
+    Rbac.Policy.of_list
+      [ Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta:0.9 ]
+  in
+  (* DISTINCT over a self-join: each output row's lineage reuses the
+     same tuples across terms, so it is priced by the circuit rung *)
+  let sql = "SELECT DISTINCT X.k FROM R AS X, R AS Y WHERE X.n < Y.n" in
+  let counters perc =
+    let obs = Obs.deterministic () in
+    let ctx = E.make_context ~obs ~db ~rbac:(mk_rbac ()) ~policies () in
+    let session = E.Session.create ctx in
+    let resp = ok (E.Session.answer session (request ~sql ~perc ())) in
+    let counter name = Obs.Metrics.counter obs.Obs.metrics name in
+    (resp, counter "ladder.circuit_build", counter "ladder.circuit_reeval")
+  in
+  let confidence_only, built, reeval = counters 0.0 in
+  Alcotest.(check bool) "no strategy finding at perc 0" true
+    (confidence_only.E.proposal = None);
+  Alcotest.(check bool) "circuits built by the confidence stage" true (built > 0);
+  let with_solver, built', reeval' = counters 1.0 in
+  Alcotest.(check bool) "strategy finding ran" true
+    (with_solver.E.proposal <> None);
+  Alcotest.(check int) "no circuit built by strategy finding" built built';
+  (* each withheld row's class is read from the cache twice: once to
+     build the instance, once to project the release *)
+  Alcotest.(check int) "instance and projection read the cached circuits"
+    (2 * with_solver.E.withheld) (reeval' - reeval)
+
 (* ------------------------------------------------------------------ *)
 (* transparency: batch-with-caches == per-request cold answers *)
 
@@ -416,6 +455,8 @@ let () =
         [
           Alcotest.test_case "accept_proposal reuses classes" `Quick
             test_accept_proposal_reuse;
+          Alcotest.test_case "strategy finding reuses circuits" `Quick
+            test_strategy_finding_reuses_circuits;
           QCheck_alcotest.to_alcotest qcheck_batch_transparent;
           QCheck_alcotest.to_alcotest qcheck_accept_then_batch_transparent;
         ] );

@@ -156,6 +156,49 @@ let test_expected_aggregates_sql () =
     Alcotest.(check (list string)) "schema" [ "cust"; "ec"; "es" ]
       (S.column_names res.E.schema)
 
+(* One group whose member carries H0 lineage (R(A) ⋈ S(A, B) ⋈ T(B)
+   over a 60%-dense S): beyond every exact rung, so the ladder prices it
+   by sampling instead of an exponential exact expansion. *)
+let test_expected_count_h0_group () =
+  let rel name cols =
+    R.create name (S.of_list (List.map (fun c -> (c, V.TInt)) cols))
+  in
+  let db =
+    List.fold_left Db.add_relation Db.empty
+      [ rel "R" [ "A"; "Tag" ]; rel "S" [ "A"; "B" ]; rel "T" [ "B" ] ]
+  in
+  let rng = Prng.Splitmix.of_int 2009 in
+  let ins db name vs =
+    fst (Db.insert db name vs ~conf:(Prng.Splitmix.float_in rng 0.1 0.9))
+  in
+  let db = ref db in
+  for i = 0 to 11 do
+    db := ins !db "R" [ V.Int i; V.Int 0 ];
+    db := ins !db "T" [ V.Int i ]
+  done;
+  for a = 0 to 11 do
+    for b = 0 to 11 do
+      if Prng.Splitmix.float_in rng 0.0 1.0 < 0.6 then
+        db := ins !db "S" [ V.Int a; V.Int b ]
+    done
+  done;
+  let h0 =
+    ok
+      (Relational.Sql_planner.compile
+         "SELECT DISTINCT R.Tag FROM R, S, T WHERE R.A = S.A AND S.B = T.B")
+  in
+  let plan =
+    A.Group_by ([], [ { A.fn = A.Expected_count; arg = None; out = "ec" } ], h0)
+  in
+  match (run !db plan).E.rows with
+  | [ row ] -> (
+    match Relational.Tuple.get row.E.tuple 0 with
+    | V.Float ec ->
+      Alcotest.(check bool) (Printf.sprintf "ECOUNT %g in [0, 1]" ec) true
+        (ec >= 0.0 && ec <= 1.0)
+    | v -> Alcotest.failf "ECOUNT is %s" (V.to_string v))
+  | rows -> Alcotest.failf "%d groups" (List.length rows)
+
 let test_esum_requires_numeric () =
   let db = mk_db () in
   match
@@ -206,5 +249,7 @@ let () =
           Alcotest.test_case "SQL surface" `Quick test_expected_aggregates_sql;
           Alcotest.test_case "ESUM type check" `Quick test_esum_requires_numeric;
           Alcotest.test_case "ECOUNT star only" `Quick test_ecount_star_only;
+          Alcotest.test_case "H0-shaped group finishes" `Quick
+            test_expected_count_h0_group;
         ] );
     ]
