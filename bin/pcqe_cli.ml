@@ -1155,8 +1155,8 @@ let serve_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Hosts per-principal warm serving sessions behind a length-framed, \
-         checksummed wire protocol.  At most --admit requests execute \
+        "Hosts one warm serving session, shared by every principal, behind \
+         a length-framed, checksummed wire protocol.  At most --admit requests execute \
          concurrently, --queue more wait (their deadline still running); \
          past that the server sheds load explicitly.  Client deadlines \
          travel in the frame and become engine deadlines, so overload \

@@ -46,25 +46,24 @@ let default_config =
     fault_stall_s = 0.005;
   }
 
-type session_slot = {
-  sm : Mutex.t;
-  session : Pcqe.Engine.Session.t;
-  mutable pending : (int * Pcqe.Engine.proposal) option;
-      (* latest proposal, parked under a single-use token *)
-  mutable next_token : int;
-}
-
 type t = {
-  ctx : Pcqe.Engine.context;
   config : config;
   obs : Obs.t option;
   lsock : Unix.file_descr;
   bound : listen;
-  mutable published : Relational.Database.t;
-      (* the one true database: accepted proposals are applied against
-         it (serialized under [m]) and every query pulls it before
-         answering, so an accept by one principal is visible to all —
-         per-session caches revalidate through the epoch vectors *)
+  serving : Mutex.t;
+      (* guards [session], [pending] and [next_token].  Lock order: take
+         [serving] first, then [m]; never the other way round *)
+  session : Pcqe.Engine.Session.t;
+      (* the one serving state: its context db is the published
+         database, its caches are shared by every principal — plans and
+         class confidences depend on the database, not on who asked *)
+  base_deadline : Resilience.Deadline.spec;
+      (* the deadline of a request that carries none *)
+  pending : (string, int * Pcqe.Engine.proposal) Hashtbl.t;
+      (* per principal: the latest proposal, parked under a single-use
+         token *)
+  mutable next_token : int;
   m : Mutex.t;
   cond : Condition.t;  (* admission slots; also connection drain *)
   mutable running : bool;
@@ -72,7 +71,6 @@ type t = {
   mutable queued : int;
   mutable live_conns : Unix.file_descr list;
   mutable conn_threads : int;
-  sessions : (string, session_slot) Hashtbl.t;
   counters : (string, int ref) Hashtbl.t;
   mutable acceptor : Thread.t option;
 }
@@ -181,58 +179,33 @@ let terminal t conn resp counter =
 
 (* --- request execution --------------------------------------------- *)
 
-let slot_for t user =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.sessions user with
-      | Some s -> s
-      | None ->
-        let s =
-          {
-            sm = Mutex.create ();
-            session = Pcqe.Engine.Session.create t.ctx;
-            pending = None;
-            next_token = 1;
-          }
-        in
-        Hashtbl.replace t.sessions user s;
-        s)
+let with_serving t f =
+  Mutex.lock t.serving;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.serving) f
 
-let with_slot slot f =
-  Mutex.lock slot.sm;
-  Fun.protect ~finally:(fun () -> Mutex.unlock slot.sm) f
-
-let run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms =
+(* [t0] is when the request frame was decoded: admission and the wait
+   for the serving state both count against the request's deadline. *)
+let run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~t0 =
   let eff_deadline =
     match deadline_ms with
     | Some d -> Some d
     | None -> t.config.default_deadline_ms
   in
-  let remaining = Option.map (fun d -> d -. queued_ms) eff_deadline in
-  match remaining with
-  | Some r when r <= 0.0 ->
-    terminal t conn
-      (Wire.Timeout { reason = "deadline expired in admission queue" })
-      "net.timeouts"
-  | _ -> (
-    let slot = slot_for t user in
-    let outcome =
-      with_slot slot (fun () ->
-          (* serve against the latest published database: another
-             principal's accepted proposal must be visible here *)
-          let published = locked t (fun () -> t.published) in
-          let base = Pcqe.Engine.Session.context slot.session in
-          let base =
-            if base.Pcqe.Engine.db == published then base
-            else { base with Pcqe.Engine.db = published }
-          in
-          let ctx =
+  let outcome =
+    with_serving t (fun () ->
+        let remaining = Option.map (fun d -> d -. (now_ms () -. t0)) eff_deadline in
+        match remaining with
+        | Some r when r <= 0.0 -> `Expired
+        | _ -> (
+          let ctx = Pcqe.Engine.Session.context t.session in
+          let deadline =
             match remaining with
-            | Some r -> { base with Pcqe.Engine.deadline = Resilience.Deadline.Wall_ms r }
-            | None -> base
+            | Some r -> Resilience.Deadline.Wall_ms r
+            | None -> t.base_deadline
           in
-          Pcqe.Engine.Session.set_context slot.session ctx;
+          Pcqe.Engine.Session.set_context t.session { ctx with Pcqe.Engine.deadline };
           match
-            Pcqe.Engine.Session.answer slot.session
+            Pcqe.Engine.Session.answer t.session
               {
                 Pcqe.Engine.query = Pcqe.Query.Sql sql;
                 user;
@@ -244,59 +217,53 @@ let run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms =
             let token =
               Option.map
                 (fun p ->
-                  let tok = slot.next_token in
-                  slot.next_token <- tok + 1;
-                  slot.pending <- Some (tok, p);
+                  let tok = t.next_token in
+                  t.next_token <- tok + 1;
+                  Hashtbl.replace t.pending user (tok, p);
                   tok)
                 resp.Pcqe.Engine.proposal
             in
-            Ok (token, resp)
-          | Error msg -> Error msg
-          | exception Fault.Injected what -> Error ("fault injected: " ^ what)
-          | exception exn -> Error ("internal: " ^ Printexc.to_string exn))
-    in
-    match outcome with
-    | Ok (proposal_token, resp) ->
-      (* the engine response is immutable: encode it after releasing the
-         session, straight into the connection's buffer *)
-      count t "net.answers";
-      send t conn (fun b -> Wire.write_answer b ?proposal_token resp)
-    | Error msg -> terminal t conn (Wire.Err msg) "net.errors")
+            `Answer (token, resp)
+          | Error msg -> `Error msg
+          | exception Fault.Injected what -> `Error ("fault injected: " ^ what)
+          | exception exn -> `Error ("internal: " ^ Printexc.to_string exn)))
+  in
+  match outcome with
+  | `Expired ->
+    terminal t conn
+      (Wire.Timeout { reason = "deadline expired in admission queue" })
+      "net.timeouts"
+  | `Answer (proposal_token, resp) ->
+    (* the engine response is immutable: encode it after releasing the
+       serving state, straight into the connection's buffer *)
+    count t "net.answers";
+    send t conn (fun b -> Wire.write_answer b ?proposal_token resp)
+  | `Error msg -> terminal t conn (Wire.Err msg) "net.errors"
 
 let run_accept t conn ~user ~token =
-  match locked t (fun () -> Hashtbl.find_opt t.sessions user) with
-  | None -> terminal t conn (Wire.Err "unknown or expired proposal token") "net.errors"
-  | Some slot -> (
-    let outcome =
-      with_slot slot (fun () ->
-          match slot.pending with
-          | Some (tok, p) when tok = token ->
-            slot.pending <- None (* single-use: a replay cannot re-apply *);
-            (* apply against the latest published database and publish
-               the result, all under the server lock: concurrent accepts
-               by different principals form one linear history *)
-            (match
-               locked t (fun () ->
-                   let ctx = Pcqe.Engine.Session.context slot.session in
-                   Pcqe.Engine.Session.set_context slot.session
-                     { ctx with Pcqe.Engine.db = t.published };
-                   Pcqe.Engine.Session.accept_proposal slot.session p;
-                   t.published <-
-                     (Pcqe.Engine.Session.context slot.session).Pcqe.Engine.db)
-             with
-            | () ->
-              Ok
-                (Wire.Accepted
-                   {
-                     applied = List.length p.Pcqe.Engine.increments;
-                     cost = p.Pcqe.Engine.cost;
-                   })
-            | exception exn -> Error ("internal: " ^ Printexc.to_string exn))
-          | _ -> Error "unknown or expired proposal token")
-    in
-    match outcome with
-    | Ok resp -> terminal t conn resp "net.accepted"
-    | Error msg -> terminal t conn (Wire.Err msg) "net.errors")
+  let outcome =
+    with_serving t (fun () ->
+        match Hashtbl.find_opt t.pending user with
+        | Some (tok, p) when tok = token -> (
+          (* single-use: a replay cannot re-apply *)
+          Hashtbl.remove t.pending user;
+          (* applied to the published database under the serving mutex:
+             concurrent accepts form one linear history, and every
+             principal's next query sees the result *)
+          match Pcqe.Engine.Session.accept_proposal t.session p with
+          | () ->
+            Ok
+              (Wire.Accepted
+                 {
+                   applied = List.length p.Pcqe.Engine.increments;
+                   cost = p.Pcqe.Engine.cost;
+                 })
+          | exception exn -> Error ("internal: " ^ Printexc.to_string exn))
+        | _ -> Error "unknown or expired proposal token")
+  in
+  match outcome with
+  | Ok resp -> terminal t conn resp "net.accepted"
+  | Error msg -> terminal t conn (Wire.Err msg) "net.errors"
 
 let handle_request t conn ~typ =
   match Wire.request_of_frame ~typ conn.buf with
@@ -324,10 +291,9 @@ let handle_request t conn ~typ =
                shape the shedding tests arm deterministically *)
             count t "net.fault.delay";
             Unix.sleepf t.config.fault_stall_s);
-          let queued_ms = now_ms () -. t0 in
           match req with
           | Wire.Query { user; purpose; perc; sql; deadline_ms } ->
-            run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~queued_ms
+            run_query t conn ~user ~purpose ~perc ~sql ~deadline_ms ~t0
           | Wire.Accept { user; token } -> run_accept t conn ~user ~token
           | Wire.Ping -> assert false))
 
@@ -429,17 +395,26 @@ let start ?obs ?(config = default_config) ~ctx spec =
   (* accept must wake periodically to observe the stop flag *)
   (try Unix.setsockopt_float lsock Unix.SO_RCVTIMEO config.poll_interval_s
    with Unix.Unix_error _ -> ());
-  let ctx =
-    { ctx with Pcqe.Engine.obs = None; caches = None; profile = false }
+  let session =
+    Pcqe.Engine.Session.create
+      {
+        ctx with
+        Pcqe.Engine.obs = None;
+        caches = Some (Pcqe.Caches.create ());
+        profile = false;
+      }
   in
   let t =
     {
-      ctx;
       config;
       obs;
       lsock;
       bound;
-      published = ctx.Pcqe.Engine.db;
+      serving = Mutex.create ();
+      session;
+      base_deadline = ctx.Pcqe.Engine.deadline;
+      pending = Hashtbl.create 16;
+      next_token = 1;
       m = Mutex.create ();
       cond = Condition.create ();
       running = true;
@@ -447,7 +422,6 @@ let start ?obs ?(config = default_config) ~ctx spec =
       queued = 0;
       live_conns = [];
       conn_threads = 0;
-      sessions = Hashtbl.create 16;
       counters = Hashtbl.create 16;
       acceptor = None;
     }
@@ -520,43 +494,34 @@ let stats t =
       Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
       |> List.sort (fun (a, _) (b, _) -> compare a b))
 
+let caches t =
+  match (Pcqe.Engine.Session.context t.session).Pcqe.Engine.caches with
+  | Some c -> c
+  | None -> assert false (* [start] installs them *)
+
 (* shard-level serving gauges, refreshed on demand — a metrics export is
-   the natural moment; a per-request refresh would cost a scan of every
-   session's cache.  Epochs and owned-tuple counts come from the
-   published database; conf-cache occupancy is summed across the live
-   per-principal sessions, each read under its own slot mutex. *)
+   the natural moment; a per-request refresh would cost a scan of the
+   confidence cache.  Read under the serving mutex, published under the
+   server lock (in that order). *)
 let refresh_shard_gauges t =
   match t.obs with
   | None -> ()
   | Some o ->
-    let db, slots =
-      locked t (fun () ->
-          (t.published, Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []))
+    let epochs, tuples, sizes =
+      with_serving t (fun () ->
+          let db = (Pcqe.Engine.Session.context t.session).Pcqe.Engine.db in
+          let shards = Relational.Database.shard_count db in
+          ( Relational.Database.confidence_vector db,
+            Relational.Database.shard_tuples db,
+            Pcqe.Conf_cache.shard_sizes (Pcqe.Caches.conf (caches t)) ~shards ))
     in
-    let shards = Relational.Database.shard_count db in
-    let epochs = Relational.Database.confidence_vector db in
-    let tuples = Relational.Database.shard_tuples db in
-    let sizes = Array.make shards 0 in
-    List.iter
-      (fun slot ->
-        Mutex.lock slot.sm;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock slot.sm)
-          (fun () ->
-            match
-              (Pcqe.Engine.Session.context slot.session).Pcqe.Engine.caches
-            with
-            | None -> ()
-            | Some c ->
-              Array.iteri
-                (fun i n -> sizes.(i) <- sizes.(i) + n)
-                (Pcqe.Conf_cache.shard_sizes (Pcqe.Caches.conf c) ~shards)))
-      slots;
-    for i = 0 to shards - 1 do
-      let g name = Printf.sprintf "shard.%s{shard=\"%d\"}" name i in
-      Obs.Metrics.set_gauge o.Obs.metrics (g "epoch") (float_of_int epochs.(i));
-      Obs.Metrics.set_gauge o.Obs.metrics (g "tuples")
-        (float_of_int tuples.(i));
-      Obs.Metrics.set_gauge o.Obs.metrics (g "conf_cache_size")
-        (float_of_int sizes.(i))
-    done
+    locked t (fun () ->
+        Array.iteri
+          (fun i epoch ->
+            let g name = Printf.sprintf "shard.%s{shard=\"%d\"}" name i in
+            Obs.Metrics.set_gauge o.Obs.metrics (g "epoch") (float_of_int epoch);
+            Obs.Metrics.set_gauge o.Obs.metrics (g "tuples")
+              (float_of_int tuples.(i));
+            Obs.Metrics.set_gauge o.Obs.metrics (g "conf_cache_size")
+              (float_of_int sizes.(i)))
+          epochs)

@@ -1,4 +1,5 @@
-(** The serving tier: per-principal [Engine.Session]s behind a socket.
+(** The serving tier: one [Engine.Session] per published database,
+    shared by every principal, behind a socket.
 
     One acceptor thread plus one thread per connection.  Every request
     on a connection is answered in order with exactly one terminal
@@ -9,27 +10,31 @@
     up to [config.queue] more wait in a bounded queue; beyond that the
     request is shed immediately with [Overloaded {retry_after_ms}] —
     overload produces fast explicit refusals, not unbounded queueing.
-    Queue wait is charged against the request's deadline: a request
-    whose deadline expires while queued gets [Timeout] without touching
-    the engine.
+    Queue wait — for an admission slot and then for the serving state —
+    is charged against the request's deadline, counted from frame
+    decode: a request whose deadline expires while it waits gets
+    [Timeout] without touching the engine.
 
     {b Deadline propagation.}  A [Query]'s [deadline_ms] (minus time
     already spent queued) becomes [Resilience.Deadline.Wall_ms] on the
     session context, so strategy finding degrades to [Partial] instead
     of hanging; the degradation marker travels back in the answer.
 
-    {b Sessions.}  Each principal gets its own [Engine.Session] (own
-    caches), created lazily and guarded by a per-session mutex, all
-    serving one {e published} database held by the server: every query
-    pulls the latest published value before answering, and [Accept]
-    applies its increments against it — serialized under the server
-    lock, so concurrent accepts by different principals form one linear
-    history and each accept is visible to every principal's next query.
-    Per-session caches revalidate through the database's per-shard
-    epoch vectors, so an accept invalidates only the cached classes
-    whose lineage lives on the mutated shard(s).  Proposals returned by
-    answers are parked server-side under single-use tokens; [Accept]
-    quotes a token, which makes replayed/retried accepts harmless.
+    {b One serving state.}  Confidence policies are enforced after
+    evaluation, so a compiled plan and a lineage class's confidence
+    depend only on the database, never on who asked; only the RBAC
+    check, the β filter and strategy finding depend on the principal.
+    The server therefore keeps a single [Engine.Session] — one plan
+    cache, one confidence cache — whose context database {e is} the
+    published database, guarded by a serving mutex: a query answers
+    under it, and [Accept] applies its increments under it, so accepts
+    form one linear history and each is visible to every principal's
+    next query.  The confidence cache revalidates through the
+    database's per-shard epoch vectors, so an accept invalidates only
+    the cached classes whose lineage lives on the mutated shard(s).
+    Per principal the server keeps only the latest proposal, parked
+    under a single-use token that only that principal may quote, which
+    makes replayed/retried accepts harmless.
 
     {b Chaos.}  The [net.accept]/[net.read]/[net.write]/[net.delay]
     fault sites fire here, so an armed {!Resilience.Fault} plan severs
@@ -65,10 +70,11 @@ type t
 
 val start :
   ?obs:Obs.t -> ?config:config -> ctx:Pcqe.Engine.context -> listen -> t
-(** Bind, listen and start the acceptor thread.  [ctx] is the base
-    context cloned into per-principal sessions; its [obs]/[profile]
-    fields are ignored for sessions (the engine registry is
-    single-writer, so connection threads must not share it) — pass
+(** Bind, listen and start the acceptor thread.  [ctx] seeds the one
+    serving session with fresh caches; its [obs]/[profile]/[caches]
+    fields are ignored (the engine registry is single-writer, so
+    connection threads must not share it) and its [deadline] applies to
+    queries that carry none and have no [default_deadline_ms] — pass
     [?obs] for the server's own [net.*] counters and gauges, updated
     under the server lock.  @raise Unix.Unix_error on bind failure. *)
 
@@ -96,7 +102,11 @@ val stats : t -> (string * int) list
 val refresh_shard_gauges : t -> unit
 (** Refresh the per-shard serving gauges — [shard.epoch],
     [shard.tuples] and [shard.conf_cache_size], one [{shard="i"}]
-    labelled series each — from the published database and the live
-    per-principal session caches.  On demand rather than per request
-    (summing cache occupancy scans every session's cache); [pcqe serve]
+    labelled series each — from the published database and the one
+    confidence cache, read under the serving mutex.  On demand rather
+    than per request (cache occupancy scans the cache); [pcqe serve]
     calls it before flushing metrics.  No-op without an observer. *)
+
+val caches : t -> Pcqe.Caches.t
+(** The server's one plan cache and confidence cache.  Not locked:
+    inspect it only while no request is executing. *)

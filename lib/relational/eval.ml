@@ -4,6 +4,8 @@ type row = { tuple : Tuple.t; lineage : Formula.t }
 
 type annotated = { schema : Schema.t; rows : row list }
 
+module Tuple_tbl = Hashtbl.Make (Tuple)
+
 let ( let* ) = Result.bind
 
 (* Merge rows with equal tuples by OR-ing their lineage, preserving the
@@ -278,7 +280,9 @@ and run_rows_via recurse db plan =
     (match equi_key with
     | Some (ia, ib) ->
       (* build on the right side, probe with the left to preserve the
-         nested-loop output order (left-major) *)
+         nested-loop output order (left-major).  The build walks the
+         right side backwards and conses, so every bucket ends up in
+         right-side order *)
       let table : (int, (Value.t * row) list) Hashtbl.t =
         Hashtbl.create (List.length rb)
       in
@@ -288,9 +292,9 @@ and run_rows_via recurse db plan =
           if not (Value.equal key Value.Null) then begin
             let h = Value.hash key in
             let existing = Option.value ~default:[] (Hashtbl.find_opt table h) in
-            Hashtbl.replace table h (existing @ [ (key, rowb) ])
+            Hashtbl.replace table h ((key, rowb) :: existing)
           end)
-        rb;
+        (List.rev rb);
       let out = ref [] in
       List.iter
         (fun rowa ->
@@ -461,14 +465,19 @@ and run_rows_via recurse db plan =
         (Ok []) keys
       |> Result.map (fun l -> Array.of_list (List.rev l))
     in
-    (* group rows by key tuple, preserving first-appearance order *)
-    let groups : (Tuple.t * row list ref) list ref = ref [] in
+    (* group rows by key tuple: groups in first-appearance order,
+       members in row order *)
+    let groups = Tuple_tbl.create 64 in
+    let order = ref [] in
     List.iter
       (fun r ->
         let key = Tuple.project r.tuple key_idx in
-        match List.find_opt (fun (k, _) -> Tuple.equal k key) !groups with
-        | Some (_, members) -> members := r :: !members
-        | None -> groups := !groups @ [ (key, ref [ r ]) ])
+        match Tuple_tbl.find_opt groups key with
+        | Some members -> members := r :: !members
+        | None ->
+          let members = ref [ r ] in
+          Tuple_tbl.add groups key members;
+          order := (key, members) :: !order)
       rows;
     List.fold_left
       (fun acc (key, members) ->
@@ -485,8 +494,9 @@ and run_rows_via recurse db plan =
         in
         let tuple = Tuple.append key (Tuple.of_list agg_vals) in
         let lineage = Formula.disj (List.map (fun r -> r.lineage) members) in
-        Ok (out @ [ { tuple; lineage } ]))
-      (Ok []) !groups
+        Ok ({ tuple; lineage } :: out))
+      (Ok []) (List.rev !order)
+    |> Result.map List.rev
 
 let run_exn db plan =
   match run db plan with Ok r -> r | Error msg -> failwith ("Eval.run: " ^ msg)

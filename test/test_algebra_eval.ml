@@ -249,6 +249,80 @@ let test_hash_join_matches_nested_loop () =
       Alcotest.(check bool) "same lineage" true (F.equal a.E.lineage b.E.lineage))
     h.E.rows l.E.rows
 
+(* GROUP BY against a naive reference: groups found by a linear scan in
+   first-appearance order, members kept in row order.  Keys are drawn
+   from a small domain with NULLs, so groups repeat and NULL keys group
+   together. *)
+let prop_group_by_matches_naive =
+  let row_gen =
+    QCheck.Gen.(
+      triple (int_range 0 6) (opt ~ratio:0.7 (int_range 0 2)) (int_range 0 9))
+  in
+  QCheck.Test.make ~name:"group by = naive grouping" ~count:200
+    QCheck.(
+      pair
+        (make QCheck.Gen.(list_size (int_range 0 60) row_gen))
+        (make QCheck.Gen.(int_range 0 2)))
+    (fun (rows, nkeys) ->
+      let g =
+        R.create "G"
+          (S.of_list [ ("k1", V.TInt); ("k2", V.TInt); ("n", V.TInt) ])
+      in
+      let db =
+        List.fold_left
+          (fun db (k1, k2, n) ->
+            let k2 = match k2 with Some k -> V.Int k | None -> V.Null in
+            fst (Db.insert db "G" [ V.Int k1; k2; V.Int n ] ~conf:0.5))
+          (Db.add_relation Db.empty g) rows
+      in
+      let keys = List.filteri (fun i _ -> i < nkeys) [ "k1"; "k2" ] in
+      let aggs =
+        [
+          { A.fn = A.CountStar; arg = None; out = "cnt" };
+          { A.fn = A.Sum; arg = Some "n"; out = "total" };
+        ]
+      in
+      let got = run db (A.Group_by (keys, aggs, A.scan "G")) in
+      let base = (run db (A.scan "G")).E.rows in
+      let idx = Array.of_list (List.init nkeys Fun.id) in
+      let naive =
+        List.fold_left
+          (fun groups (r : E.row) ->
+            let key = Relational.Tuple.project r.E.tuple idx in
+            if List.exists (fun (k, _) -> Relational.Tuple.equal k key) groups
+            then
+              List.map
+                (fun (k, ms) ->
+                  if Relational.Tuple.equal k key then (k, ms @ [ r ]) else (k, ms))
+                groups
+            else groups @ [ (key, [ r ]) ])
+          [] base
+      in
+      let want =
+        List.map
+          (fun (key, members) ->
+            let total =
+              List.fold_left
+                (fun acc (r : E.row) ->
+                  match Relational.Tuple.get r.E.tuple 2 with
+                  | V.Int n -> acc + n
+                  | _ -> acc)
+                0 members
+            in
+            ( Relational.Tuple.to_string
+                (Relational.Tuple.append key
+                   (Relational.Tuple.of_list
+                      [ V.Int (List.length members); V.Int total ])),
+              F.disj (List.map (fun (r : E.row) -> r.E.lineage) members) ))
+          naive
+      in
+      List.length want = List.length got.E.rows
+      && List.for_all2
+           (fun (tuple, lineage) (r : E.row) ->
+             String.equal tuple (Relational.Tuple.to_string r.E.tuple)
+             && F.equal lineage r.E.lineage)
+           want got.E.rows)
+
 (* the paper's running example, end to end through the algebra layer *)
 let test_paper_example () =
   let proposal =
@@ -294,6 +368,7 @@ let () =
           Alcotest.test_case "order/limit" `Quick test_order_by_limit;
           Alcotest.test_case "group by" `Quick test_group_by;
           Alcotest.test_case "avg/min/count" `Quick test_group_by_avg_and_min;
+          QCheck_alcotest.to_alcotest prop_group_by_matches_naive;
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "self join" `Quick test_self_join_lineage;
           Alcotest.test_case "confidences" `Quick test_confidence_computation;

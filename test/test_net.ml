@@ -5,7 +5,8 @@
    1. framing — torn, truncated and corrupted frames are detected and
       rejected; they kill at most their own connection, never the server;
    2. identity — answers over the wire are bit-identical (body bytes) to
-      in-process [Session.batch] over the same per-principal streams;
+      one in-process session answering the same stream in wire order,
+      and every principal shares that one session's caches;
    3. admission — overload produces explicit [Overloaded] sheds and
       queue-expired [Timeout]s, never unbounded queueing or silence;
    4. chaos — with [net.*] faults armed, every request still reaches a
@@ -467,9 +468,9 @@ let sock_path =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "pcqe_net_test_%d_%d.sock" (Unix.getpid ()) !n)
 
-let with_server ?config ctx f =
+let with_server ?obs ?config ctx f =
   let server =
-    Net.Server.start ?config ~ctx (Net.Server.Unix_path (sock_path ()))
+    Net.Server.start ?obs ?config ~ctx (Net.Server.Unix_path (sock_path ()))
   in
   Fun.protect ~finally:(fun () -> Net.Server.stop server) (fun () -> f server)
 
@@ -511,28 +512,22 @@ let test_server_identity_with_batch () =
                   (stream u))
               users))
   in
-  (* the in-process reference: one Session per principal over the same
-     base context, batching the same stream *)
+  (* the in-process reference: one Session over the same base context —
+     the server's one serving state — batching the whole stream in wire
+     order *)
   let local_bodies =
-    List.map
-      (fun u ->
-        let session = E.Session.create ctx in
-        E.Session.batch session
-          (List.map
-             (fun (user, sql, perc) ->
-               { E.query = Pcqe.Query.sql sql; user; purpose = "p"; perc })
-             (stream u))
-        |> List.map (fun r -> Net.Wire.body_of_response (ok r)))
-      users
+    E.Session.batch (E.Session.create ctx)
+      (List.map
+         (fun (user, sql, perc) ->
+           { E.query = Pcqe.Query.sql sql; user; purpose = "p"; perc })
+         (List.concat_map stream users))
+    |> List.map (fun r -> Net.Wire.body_of_response (ok r))
   in
-  List.iter2
-    (fun ws ls ->
-      List.iteri
-        (fun i (w, l) ->
-          if not (String.equal w l) then
-            Alcotest.failf "response %d differs between wire and Session.batch" i)
-        (List.combine ws ls))
-    wire_bodies local_bodies
+  List.iteri
+    (fun i (w, l) ->
+      if not (String.equal w l) then
+        Alcotest.failf "response %d differs between wire and Session.batch" i)
+    (List.combine (List.concat wire_bodies) local_bodies)
 
 (* One connection: an answer with a body over 1 MiB (the buffers on
    both ends grow, then drop the outsized storage), then small answers in
@@ -622,6 +617,221 @@ let test_server_accept_token () =
             Alcotest.(check bool) "more released after accept" true
               (a'.Net.Wire.released > a.Net.Wire.released)
           | o -> Alcotest.failf "re-query failed: %s" (Net.Client.outcome_label o)))
+
+(* ------------------------------------------------------------------ *)
+(* cross-principal serving: one plan cache and one confidence cache *)
+
+(* R ⋈ S ⋈ U over a complete bipartite S is not hierarchical, so
+   [entangled_sql]'s rows carry non-read-once lineage: it is priced by
+   the ladder and lands in the confidence cache, where a reuse shows up
+   as tier "cached" (the T queries above only produce var lineage, which
+   is never cached).  Analysts u0/u1 have β 0.5, auditor v0 β 0.9, and
+   x0 is a user with no role at all. *)
+let entangled_sql = "SELECT DISTINCT R.tag FROM R, S, U WHERE R.a = S.a AND S.b = U.b"
+let entangled_sql2 = "SELECT DISTINCT U.b FROM R, S, U WHERE R.a = S.a AND S.b = U.b"
+
+let build_entangled_ctx () =
+  let open Relational in
+  let rel name cols = Relation.create name (Schema.of_list (List.map (fun c -> (c, V.TInt)) cols)) in
+  let db =
+    List.fold_left Db.add_relation Db.empty
+      [ rel "R" [ "a"; "tag" ]; rel "S" [ "a"; "b" ]; rel "U" [ "b" ] ]
+  in
+  let db =
+    List.fold_left
+      (fun db (name, vs, conf) -> fst (Db.insert db name (List.map (fun v -> V.Int v) vs) ~conf))
+      db
+      [
+        ("R", [ 1; 1 ], 0.9); ("R", [ 2; 1 ], 0.8); ("R", [ 3; 2 ], 0.6); ("R", [ 4; 2 ], 0.7);
+        ("S", [ 1; 1 ], 0.9); ("S", [ 1; 2 ], 0.7); ("S", [ 2; 1 ], 0.8); ("S", [ 2; 2 ], 0.9);
+        ("S", [ 3; 1 ], 0.5); ("S", [ 3; 2 ], 0.6); ("S", [ 4; 1 ], 0.4); ("S", [ 4; 2 ], 0.5);
+        ("U", [ 1 ], 0.9); ("U", [ 2 ], 0.85);
+      ]
+  in
+  let rbac =
+    let open Rbac.Core_rbac in
+    let m = add_role (add_role empty "analyst") "auditor" in
+    let m =
+      List.fold_left
+        (fun m (u, role) -> ok (assign_user ~user:u ~role (add_user m u)))
+        m
+        [ ("u0", "analyst"); ("u1", "analyst"); ("v0", "auditor") ]
+    in
+    let m = add_user m "x0" in
+    let m = ok (grant m ~role:"analyst" { action = "select"; resource = "*" }) in
+    ok (grant m ~role:"auditor" { action = "select"; resource = "*" })
+  in
+  let policies =
+    Rbac.Policy.of_list
+      [
+        Rbac.Policy.make ~role:"analyst" ~purpose:"p" ~beta:0.5;
+        Rbac.Policy.make ~role:"auditor" ~purpose:"p" ~beta:0.9;
+      ]
+  in
+  E.make_context ~db ~rbac ~policies ()
+
+let wire_answer client ~user ~perc sql =
+  match Net.Client.query client ~user ~purpose:"p" ~perc sql with
+  | Net.Client.Answer a -> a
+  | o -> Alcotest.failf "%s %s: %s" user sql (Net.Client.outcome_label o)
+
+let cache_stat server name = List.assoc name (Pcqe.Caches.stats (Net.Server.caches server))
+
+(* (a) u1's first answer of a text u0 already asked is served from the
+   shared caches, and the wire bodies equal one in-process Session
+   answering the same interleaved stream in wire order *)
+let test_server_shares_caches_across_principals () =
+  let ctx = build_entangled_ctx () in
+  let stream =
+    [
+      ("u0", entangled_sql, 0.3); ("u1", entangled_sql, 0.3); ("u1", entangled_sql2, 0.3);
+      ("u0", entangled_sql2, 1.0); ("v0", entangled_sql, 1.0); ("u0", entangled_sql, 1.0);
+      ("u1", entangled_sql2, 0.3);
+    ]
+  in
+  let wire, plans =
+    with_server ctx (fun server ->
+        let client = Net.Client.create ~seed:21 (Net.Server.address server) in
+        Fun.protect
+          ~finally:(fun () -> Net.Client.close client)
+          (fun () ->
+            let bodies =
+              List.map (fun (user, sql, perc) -> (wire_answer client ~user ~perc sql).Net.Wire.body) stream
+            in
+            (bodies, cache_stat server "plans.entries")))
+  in
+  Alcotest.(check int) "one plan per text, not per principal" 2 plans;
+  let session = E.Session.create ctx in
+  let local =
+    List.map
+      (fun (user, sql, perc) ->
+        ok (E.Session.answer session { E.query = Pcqe.Query.sql sql; user; purpose = "p"; perc }))
+      stream
+  in
+  let u1_first = List.nth local 1 in
+  Alcotest.(check bool) "u1's first answer releases rows" true (u1_first.E.released <> []);
+  List.iter
+    (fun (r : E.released) -> Alcotest.(check string) "u1's first answer is cached" "cached" r.E.conf_tier)
+    u1_first.E.released;
+  List.iteri
+    (fun i (w, l) ->
+      if not (String.equal w (Net.Wire.body_of_response l)) then
+        Alcotest.failf "response %d differs between wire and one in-process session" i)
+    (List.combine wire local)
+
+(* (b) principals with different β price the same classes once, and
+   each releases nothing at or below its own β *)
+let test_server_shares_classes_across_betas () =
+  let ctx = build_entangled_ctx () in
+  with_server ctx (fun server ->
+      let client = Net.Client.create ~seed:22 (Net.Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close client)
+        (fun () ->
+          let a = wire_answer client ~user:"u0" ~perc:0.3 entangled_sql in
+          let classes = cache_stat server "conf.entries" in
+          let priced = cache_stat server "serving.recomputed_classes" in
+          Alcotest.(check bool) "u0's answer priced its classes" true (classes > 0 && priced > 0);
+          let b = wire_answer client ~user:"v0" ~perc:0.3 entangled_sql in
+          Alcotest.(check int) "v0 adds no class" classes (cache_stat server "conf.entries");
+          Alcotest.(check int) "v0 prices nothing anew" priced
+            (cache_stat server "serving.recomputed_classes");
+          Alcotest.(check bool) "v0 reuses u0's classes" true
+            (cache_stat server "serving.reused_classes" >= classes);
+          Alcotest.(check bool) "the higher β releases less" true
+            (b.Net.Wire.released < a.Net.Wire.released);
+          (* the wire bytes equal the in-process answers, whose released
+             confidences are each above the asking principal's β *)
+          let session = E.Session.create ctx in
+          List.iter
+            (fun (user, beta, (w : Net.Wire.answer)) ->
+              let resp =
+                ok
+                  (E.Session.answer session
+                     { E.query = Pcqe.Query.sql entangled_sql; user; purpose = "p"; perc = 0.3 })
+              in
+              Alcotest.(check bool) (user ^ ": wire = in-process") true
+                (String.equal w.Net.Wire.body (Net.Wire.body_of_response resp));
+              List.iter
+                (fun (r : E.released) ->
+                  Alcotest.(check bool) (user ^ ": released above its β") true (r.E.confidence > beta))
+                resp.E.released)
+            [ ("u0", 0.5, a); ("v0", 0.9, b) ]))
+
+(* (c) a cached plan is no grant: x0 gets the RBAC error *)
+let test_server_rbac_on_cached_plan () =
+  let ctx = build_entangled_ctx () in
+  let denial =
+    match E.answer ctx { E.query = Pcqe.Query.sql entangled_sql; user = "x0"; purpose = "p"; perc = 0.3 } with
+    | Error m -> m
+    | Ok _ -> Alcotest.fail "x0 must not be answered in process"
+  in
+  with_server ctx (fun server ->
+      let client = Net.Client.create ~seed:23 (Net.Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close client)
+        (fun () ->
+          ignore (wire_answer client ~user:"u0" ~perc:0.3 entangled_sql);
+          let hits = cache_stat server "prepared.hit" in
+          (match Net.Client.query client ~user:"x0" ~purpose:"p" ~perc:0.3 entangled_sql with
+          | Net.Client.Failed m -> Alcotest.(check string) "the RBAC error" denial m
+          | o -> Alcotest.failf "x0 was not refused: %s" (Net.Client.outcome_label o));
+          Alcotest.(check int) "x0's request found the cached plan" (hits + 1)
+            (cache_stat server "prepared.hit")))
+
+(* (d) tokens are per principal: one issued to u0 is rejected when
+   quoted by u1, and stays valid for u0 *)
+let test_server_token_is_per_principal () =
+  let ctx = build_ctx () in
+  with_server ctx (fun server ->
+      let client = Net.Client.create ~seed:24 (Net.Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close client)
+        (fun () ->
+          let token user =
+            match (wire_answer client ~user ~perc:1.0 "SELECT x FROM T").Net.Wire.proposal_token with
+            | Some t -> t
+            | None -> Alcotest.failf "%s: expected a proposal token" user
+          in
+          let t0 = token "u0" in
+          let t1 = token "u1" in
+          Alcotest.(check bool) "distinct tokens" true (t0 <> t1);
+          let accept user tok =
+            match Net.Client.accept client ~user ~token:tok with
+            | Net.Client.Accepted _ -> true
+            | Net.Client.Failed _ -> false
+            | o -> Alcotest.failf "accept: %s" (Net.Client.outcome_label o)
+          in
+          Alcotest.(check bool) "u1 quoting u0's token is rejected" false (accept "u1" t0);
+          Alcotest.(check bool) "u0 quoting u1's token is rejected" false (accept "u0" t1);
+          Alcotest.(check bool) "u0's token still works for u0" true (accept "u0" t0);
+          Alcotest.(check bool) "u1's token still works for u1" true (accept "u1" t1);
+          Alcotest.(check bool) "single use" false (accept "u0" t0)))
+
+(* the shard gauges read the server's one confidence cache *)
+let test_server_shard_gauges_from_one_cache () =
+  let ctx = build_entangled_ctx () in
+  let ctx = { ctx with E.db = Db.with_shards ctx.E.db 4 } in
+  let obs = Obs.create () in
+  with_server ~obs ctx (fun server ->
+      let client = Net.Client.create ~seed:25 (Net.Server.address server) in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close client)
+        (fun () ->
+          List.iter
+            (fun (user, sql) -> ignore (wire_answer client ~user ~perc:0.3 sql))
+            [ ("u0", entangled_sql); ("u1", entangled_sql2); ("v0", entangled_sql) ]);
+      Net.Server.refresh_shard_gauges server;
+      let want =
+        Pcqe.Conf_cache.shard_sizes (Pcqe.Caches.conf (Net.Server.caches server)) ~shards:4
+      in
+      Alcotest.(check bool) "the cache holds classes" true (Array.exists (fun n -> n > 0) want);
+      Array.iteri
+        (fun i n ->
+          let g = Printf.sprintf "shard.conf_cache_size{shard=\"%d\"}" i in
+          Alcotest.(check (option (float 0.0))) g (Some (float_of_int n))
+            (Obs.Metrics.gauge obs.Obs.metrics g))
+        want)
 
 (* ------------------------------------------------------------------ *)
 (* admission: shedding and queue-expired timeouts *)
@@ -833,18 +1043,21 @@ let test_server_chaos_all_terminal () =
         [ 1; 2; 3 ];
       Fault.disarm ();
       (* after the chaos: the server still answers, and bit-identically
-         to a fresh in-process session *)
+         to an in-process session.  The server's one session has served
+         every principal's chaos traffic, and a body names the tier that
+         priced each tuple ("cached" once a class is cached), so both
+         sides answer twice and the warm second answers are compared *)
       let c = Net.Client.create ~seed:4 addr in
-      let wire_body =
+      let wire () =
         match Net.Client.query c ~user:"u3" ~purpose:"p" ~perc:0.3 "SELECT x FROM T" with
         | Net.Client.Answer a -> a.Net.Wire.body
         | o -> Alcotest.failf "server dead after chaos: %s" (Net.Client.outcome_label o)
       in
+      ignore (wire ());
+      let wire_body = wire () in
       Net.Client.close c;
-      (* u3 never queried during the chaos, so its server-side session is
-         fresh — comparable to a fresh local one *)
       let session = E.Session.create ctx in
-      let local =
+      let local () =
         E.Session.batch session
           [
             {
@@ -856,6 +1069,8 @@ let test_server_chaos_all_terminal () =
           ]
         |> List.map (fun r -> Net.Wire.body_of_response (ok r))
       in
+      ignore (local ());
+      let local = local () in
       Alcotest.(check bool)
         "post-chaos answer identical to in-process" true
         (String.equal wire_body (List.hd local));
@@ -901,6 +1116,16 @@ let () =
             test_server_large_then_small;
           Alcotest.test_case "accept via single-use token" `Quick
             test_server_accept_token;
+          Alcotest.test_case "caches shared across principals" `Quick
+            test_server_shares_caches_across_principals;
+          Alcotest.test_case "classes shared across betas" `Quick
+            test_server_shares_classes_across_betas;
+          Alcotest.test_case "RBAC on a cached plan" `Quick
+            test_server_rbac_on_cached_plan;
+          Alcotest.test_case "token is per principal" `Quick
+            test_server_token_is_per_principal;
+          Alcotest.test_case "shard gauges from one cache" `Quick
+            test_server_shard_gauges_from_one_cache;
           Alcotest.test_case "sheds under overload" `Quick
             test_server_sheds_under_overload;
           Alcotest.test_case "queue deadline timeout" `Quick
