@@ -111,7 +111,6 @@ let of_relation db r =
     List.iter
       (fun (tid, tup) ->
         tids.(!i) <- tid;
-        conf.(!i) <- Database.confidence db tid;
         for c = 0 to arity - 1 do
           set c !i (Tuple.get tup c)
         done;
@@ -120,6 +119,7 @@ let of_relation db r =
   with
   | exception Decline -> None
   | () ->
+    Database.fill_confidences db tids conf;
     let cols =
       Array.map
         (function
@@ -136,10 +136,7 @@ let of_relation db r =
 let refresh_confidences db b =
   match b.lin with
   | Forms _ -> ()
-  | Tids tids ->
-    for i = 0 to b.nrows - 1 do
-      b.conf.(i) <- Database.confidence db tids.(i)
-    done
+  | Tids tids -> Database.fill_confidences db tids b.conf
 
 let filter b mask =
   let n = length b in

@@ -152,18 +152,17 @@ let parse_row ~cols ~conf_idx ~expected ~default_conf line :
 let expected_fields cols conf_idx =
   List.length cols + match conf_idx with Some _ -> 1 | None -> 0
 
-(* Assemble the relation and its confidence list from parsed rows (in file
-   order).  Tuple ids are positional, exactly as per-row insertion would
-   have assigned them. *)
+(* The one assembly path: parsed rows (in file order) become the relation
+   — tuple ids positional, exactly as per-row insertion would assign them
+   — and its confidence array, for one [Database.bulk_load]. *)
 let assemble ~name ~schema rows =
   let tuples = List.map (fun (vs, _) -> Tuple.of_list vs) rows in
-  let rel = Relation.of_tuples name schema tuples in
-  let confs =
-    List.mapi (fun i (_, c) -> (Lineage.Tid.make name i, c)) rows
-  in
-  (rel, confs)
+  (Relation.of_tuples name schema tuples, Array.of_list (List.map snd rows))
 
-let relation_of_string ~name ?(default_conf = 1.0) text =
+(* The sequential parser: split into lines, then one record at a time.
+   It shares no line or chunk bookkeeping with [load_string_bulk], so
+   the chunked parser is checked against it. *)
+let parse_lines ~name ~default_conf text =
   match split_lines text with
   | [] -> Error "empty CSV document"
   | header :: body ->
@@ -180,13 +179,13 @@ let relation_of_string ~name ?(default_conf = 1.0) text =
     let* parsed = rows [] 2 body in
     Ok (assemble ~name ~schema parsed)
 
-let load_into db ~name ?default_conf text =
-  let* rel, confs = relation_of_string ~name ?default_conf text in
-  let db = Database.add_relation db rel in
-  let db =
-    List.fold_left (fun db (tid, c) -> Database.seed_confidence db tid c) db confs
-  in
-  Ok db
+let relation_of_string ~name ?(default_conf = 1.0) text =
+  let* rel, confs = parse_lines ~name ~default_conf text in
+  Ok (rel, Array.to_list (Array.mapi (fun i c -> (Lineage.Tid.make name i, c)) confs))
+
+let load_into db ~name ?(default_conf = 1.0) text =
+  let* rel, confs = parse_lines ~name ~default_conf text in
+  Ok (Database.bulk_load db rel confs)
 
 (* Streaming file load: one pass over the channel, no whole-file string.
    Line accounting matches [split_lines]: blank lines are skipped without
@@ -225,11 +224,7 @@ let load_file db ~name ?(default_conf = 1.0) path =
         in
         let* parsed = rows [] 2 in
         let rel, confs = assemble ~name ~schema parsed in
-        let db = Database.add_relation db rel in
-        Ok
-          (List.fold_left
-             (fun db (tid, c) -> Database.seed_confidence db tid c)
-             db confs))
+        Ok (Database.bulk_load db rel confs))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel bulk ingest                                                *)
@@ -341,10 +336,7 @@ let load_string_bulk db ~name ?(default_conf = 1.0) ?jobs text =
     for i = Array.length results - 1 downto 0 do
       rows := List.rev_append results.(i).rows !rows
     done;
-    let rows = !rows in
-    let tuples = List.map (fun (vs, _) -> Tuple.of_list vs) rows in
-    let rel = Relation.of_tuples name schema tuples in
-    let confs = Array.of_list (List.map snd rows) in
+    let rel, confs = assemble ~name ~schema !rows in
     Ok (Database.bulk_load db rel confs)
 
 let load_file_bulk db ~name ?default_conf ?jobs path =

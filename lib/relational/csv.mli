@@ -23,14 +23,17 @@ val relation_of_string :
 val load_into :
   Database.t -> name:string -> ?default_conf:float -> string -> (Database.t, string) result
 (** [load_into db ~name csv] parses and registers the relation and its
-    confidences into [db]. *)
+    confidences into [db] with one {!Database.bulk_load}.  It parses
+    line by line, independently of {!load_string_bulk}'s chunked parser,
+    and gives the same result. *)
 
 val load_file :
   Database.t -> name:string -> ?default_conf:float -> string -> (Database.t, string) result
 (** [load_file db ~name path] loads [path] streaming: one pass over the
     channel, no whole-file string.  Same result as {!load_into} on the
     file's contents (blank lines are skipped without consuming a line
-    number, exactly as the string path does). *)
+    number, exactly as the string path does), registered with one
+    {!Database.bulk_load}. *)
 
 val load_string_bulk :
   Database.t ->

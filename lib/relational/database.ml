@@ -1,5 +1,6 @@
 module Tid = Lineage.Tid
 module StrMap = Map.Make (String)
+module IntMap = Map.Make (Int)
 
 (* The confidence change log is bounded: callers that fall behind by more
    than this many mutations get [None] from [changed_since] and must
@@ -19,10 +20,62 @@ type shard = {
   sh_floor : int; (* largest stamp dropped from [sh_log]; 0 = none *)
 }
 
+(* Dense confidence storage.  Each relation's confidences and caps are
+   columns indexed by [Tid.row]: an immutable array plus a persistent
+   overlay of the writes made since the array was built.  A write that
+   takes the overlay past [1/overlay_divisor] of the relation's rows
+   (and past [overlay_floor]) flattens it into a fresh array; an array is
+   never written once published, so older database values, sibling copies
+   and other domains keep reading theirs.  Arrays are only ever sized
+   from a relation's [next_row], never from a row id taken from input. *)
+let overlay_divisor = 8
+let overlay_floor = 8
+
+type column = {
+  base : float array; (* rows past its end read the column's default *)
+  over : float IntMap.t; (* newer than [base] *)
+  over_n : int; (* [IntMap.cardinal over] *)
+}
+
+type store = {
+  rows : int; (* rows [0, rows) are stored: the relation's [next_row] *)
+  conf : column; (* default 0.0 *)
+  cap : column; (* default 1.0 *)
+}
+
+let column_of base = { base; over = IntMap.empty; over_n = 0 }
+let no_column = column_of [||]
+
+(* [row >= 0] is the caller's check: every read is of a stored row *)
+let read_base col ~default row =
+  if row < Array.length col.base then Array.unsafe_get col.base row
+  else default
+
+let read col ~default row =
+  if col.over_n = 0 then read_base col ~default row
+  else
+    match IntMap.find row col.over with
+    | p -> p
+    | exception Not_found -> read_base col ~default row
+
+let write col ~default ~rows row p =
+  let over_n = if IntMap.mem row col.over then col.over_n else col.over_n + 1 in
+  let over = IntMap.add row p col.over in
+  if over_n <= max overlay_floor (rows / overlay_divisor) then
+    { col with over; over_n }
+  else begin
+    (* the fresh array is filled before anything can see it *)
+    let len = Array.length col.base in
+    let base =
+      Array.init rows (fun i -> if i < len then col.base.(i) else default)
+    in
+    IntMap.iter (fun i p -> base.(i) <- p) over;
+    column_of base
+  end
+
 type t = {
   relations : Relation.t StrMap.t;
-  confidences : float Tid.Map.t;
-  caps : float Tid.Map.t;
+  stores : store StrMap.t; (* one per relation, same keys *)
   structural_epoch : int;
       (* advances on schema/tuple mutation: cached plans and cached
          evaluation results keyed on this stamp *)
@@ -51,8 +104,7 @@ let empty_shard =
 let empty =
   {
     relations = StrMap.empty;
-    confidences = Tid.Map.empty;
-    caps = Tid.Map.empty;
+    stores = StrMap.empty;
     structural_epoch = 0;
     confidence_epoch = 0;
     conf_log = [];
@@ -230,11 +282,10 @@ let shard_view db i =
     let s = db.shards.(i) in
     {
       relations = p.(i);
-      (* the full confidence/cap tables: entries for foreign tuples are
-         unreachable from this view's lineage, and sharing the maps keeps
-         view construction O(1) past the memoized partition *)
-      confidences = db.confidences;
-      caps = db.caps;
+      (* the full confidence/cap stores: entries for foreign tuples are
+         unreachable from this view's lineage, and sharing the stores
+         keeps view construction O(1) past the memoized partition *)
+      stores = db.stores;
       structural_epoch = s.sh_structural;
       confidence_epoch = s.sh_confidence;
       conf_log = s.sh_log;
@@ -252,9 +303,28 @@ let shard_tuples db =
 (* Relations and mutators                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The store of [tid]'s relation when [tid] names a stored row. *)
+let store_of db (tid : Tid.t) =
+  match StrMap.find_opt tid.rel db.stores with
+  | Some st when tid.row >= 0 && tid.row < st.rows -> Some st
+  | _ -> None
+
 let add_relation db r =
-  bump_structural
-    { db with relations = StrMap.add (Relation.name r) r db.relations }
+  let name = Relation.name r in
+  let fresh = { rows = Relation.next_row r; conf = no_column; cap = no_column } in
+  let db' =
+    bump_structural
+      {
+        db with
+        relations = StrMap.add name r db.relations;
+        stores = StrMap.add name fresh db.stores;
+      }
+  in
+  (* a replaced relation's rows lose their confidences and caps *)
+  match StrMap.find_opt name db.stores with
+  | Some old when old.rows > 0 ->
+    bump_confidence db' (List.init old.rows (Tid.make name))
+  | _ -> db'
 
 let relation db name = StrMap.find_opt name db.relations
 
@@ -270,58 +340,62 @@ let check_conf what p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Database: %s %g outside [0,1]" what p)
 
+let write_conf db (tid : Tid.t) st p =
+  let conf = write st.conf ~default:0.0 ~rows:st.rows tid.row p in
+  { db with stores = StrMap.add tid.rel { st with conf } db.stores }
+
 let insert db rel_name vs ~conf =
   check_conf "confidence" conf;
   let r = relation_exn db rel_name in
   let r, tid = Relation.insert_values r vs in
+  let st = StrMap.find rel_name db.stores in
   let db =
-    {
-      db with
-      relations = StrMap.add rel_name r db.relations;
-      confidences = Tid.Map.add tid conf db.confidences;
-    }
+    write_conf
+      { db with relations = StrMap.add rel_name r db.relations }
+      tid
+      { st with rows = Relation.next_row r }
+      conf
   in
   let only = shard_of_tid db tid in
   (bump_confidence (bump_structural ~only db) [ tid ], tid)
 
 let seed_confidence db tid p =
   check_conf "confidence" p;
-  let exists =
-    match relation db tid.Tid.rel with
-    | Some r -> Relation.find r tid <> None
-    | None -> false
-  in
-  if not exists then
+  match store_of db tid with
+  | None ->
     invalid_arg
       (Printf.sprintf "Database.seed_confidence: tuple %s not stored"
-         (Tid.to_string tid));
-  bump_confidence
-    { db with confidences = Tid.Map.add tid p db.confidences }
-    [ tid ]
+         (Tid.to_string tid))
+  | Some st -> bump_confidence (write_conf db tid st p) [ tid ]
 
 let bulk_load db r confs =
   let name = Relation.name r in
-  let n = Relation.cardinality r in
+  let n = Relation.next_row r in
   if Array.length confs <> n then
     invalid_arg
       (Printf.sprintf "Database.bulk_load(%s): %d confidences for %d tuples"
          name (Array.length confs) n);
   Array.iter (check_conf "confidence") confs;
-  (* one structural bump and one confidence bump for the whole load (the
-     per-tuple [insert] path bumps both epochs per row); the change-log
-     entries list every loaded tuple — one entry per owning shard — so
-     [changed_since] and [shard_changed_since] stay truthful when an
-     existing relation is replaced *)
-  let tids = List.init n (Tid.make name) in
-  let confidences =
-    List.fold_left
-      (fun m tid -> Tid.Map.add tid confs.(tid.Tid.row) m)
-      db.confidences tids
+  (* the relation's whole store is replaced: no confidence or cap of a
+     previous relation of that name survives.  One structural and one
+     confidence bump for the whole load (the per-tuple [insert] path
+     bumps both epochs per row); the change-log entries list every loaded
+     or dropped tuple — one entry per owning shard — so [changed_since]
+     and [shard_changed_since] stay truthful when an existing relation is
+     replaced *)
+  let old_rows =
+    match StrMap.find_opt name db.stores with Some st -> st.rows | None -> 0
   in
+  let tids = List.init (max n old_rows) (Tid.make name) in
+  let store = { rows = n; conf = column_of (Array.copy confs); cap = no_column } in
   let had = Atomic.get db.partition in
   let db' =
     bump_structural
-      { db with relations = StrMap.add name r db.relations; confidences }
+      {
+        db with
+        relations = StrMap.add name r db.relations;
+        stores = StrMap.add name store db.stores;
+      }
   in
   let count = Array.length db'.shards in
   if count > 1 then begin
@@ -341,43 +415,83 @@ let bulk_load db r confs =
   end;
   bump_confidence db' tids
 
-let confidence db tid =
-  Option.value ~default:0.0 (Tid.Map.find_opt tid db.confidences)
+let confidence db (tid : Tid.t) =
+  match store_of db tid with
+  | Some st -> read st.conf ~default:0.0 tid.row
+  | None -> 0.0
 
-let confidence_cap db tid =
-  Option.value ~default:1.0 (Tid.Map.find_opt tid db.caps)
+let confidence_cap db (tid : Tid.t) =
+  match store_of db tid with
+  | Some st -> read st.cap ~default:1.0 tid.row
+  | None -> 1.0
+
+(* Consecutive tuples of one relation (a scan batch) share one store
+   lookup, and the common case — no overlay, row inside the array — is a
+   direct float-array copy with no boxing. *)
+let fill_confidences db tids out =
+  let n = Array.length tids in
+  if Array.length out < n then
+    invalid_arg "Database.fill_confidences: output shorter than input";
+  let rel = ref "" and st = ref (StrMap.find_opt "" db.stores) in
+  for i = 0 to n - 1 do
+    let tid : Tid.t = Array.unsafe_get tids i in
+    if not (String.equal tid.rel !rel) then begin
+      rel := tid.rel;
+      st := StrMap.find_opt tid.rel db.stores
+    end;
+    match !st with
+    | Some { rows; conf; _ } when tid.row >= 0 && tid.row < rows ->
+      if conf.over_n = 0 && tid.row < Array.length conf.base then
+        Array.unsafe_set out i (Array.unsafe_get conf.base tid.row)
+      else Array.unsafe_set out i (read conf ~default:0.0 tid.row)
+    | _ -> Array.unsafe_set out i 0.0
+  done
 
 let set_confidence db tid p =
   check_conf "confidence" p;
-  if not (Tid.Map.mem tid db.confidences) then
+  match store_of db tid with
+  | None ->
     invalid_arg
       (Printf.sprintf "Database.set_confidence: unknown tuple %s"
-         (Tid.to_string tid));
-  let cap = confidence_cap db tid in
-  if p > cap +. 1e-12 then
-    invalid_arg
-      (Printf.sprintf "Database.set_confidence: %g exceeds cap %g of %s" p cap
-         (Tid.to_string tid));
-  bump_confidence
-    { db with confidences = Tid.Map.add tid (Float.min p cap) db.confidences }
-    [ tid ]
+         (Tid.to_string tid))
+  | Some st ->
+    let cap = read st.cap ~default:1.0 tid.row in
+    if p > cap +. 1e-12 then
+      invalid_arg
+        (Printf.sprintf "Database.set_confidence: %g exceeds cap %g of %s" p
+           cap (Tid.to_string tid));
+    bump_confidence (write_conf db tid st (Float.min p cap)) [ tid ]
 
-let set_confidence_cap db tid cap =
+let set_confidence_cap db (tid : Tid.t) cap =
   check_conf "cap" cap;
-  let current = confidence db tid in
-  if cap < current -. 1e-12 then
+  match store_of db tid with
+  | None ->
     invalid_arg
-      (Printf.sprintf
-         "Database.set_confidence_cap: cap %g below current confidence %g" cap
-         current);
-  (* caps feed strategy finding, not stored confidences, but bumping the
-     confidence epoch (with the touched tuple) keeps every cache layer
-     honest at the cost of one targeted invalidation *)
-  bump_confidence { db with caps = Tid.Map.add tid cap db.caps } [ tid ]
+      (Printf.sprintf "Database.set_confidence_cap: tuple %s not stored"
+         (Tid.to_string tid))
+  | Some st ->
+    let current = read st.conf ~default:0.0 tid.row in
+    if cap < current -. 1e-12 then
+      invalid_arg
+        (Printf.sprintf
+           "Database.set_confidence_cap: cap %g below current confidence %g"
+           cap current);
+    (* caps feed strategy finding, not stored confidences, but bumping the
+       confidence epoch (with the touched tuple) keeps every cache layer
+       honest at the cost of one targeted invalidation *)
+    let cap = write st.cap ~default:1.0 ~rows:st.rows tid.row cap in
+    bump_confidence
+      { db with stores = StrMap.add tid.rel { st with cap } db.stores }
+      [ tid ]
 
 let confidence_fn db tid = confidence db tid
 
-let all_confidences db = Tid.Map.bindings db.confidences
+let all_confidences db =
+  List.concat_map
+    (fun (name, st) ->
+      List.init st.rows (fun row ->
+          (Tid.make name row, read st.conf ~default:0.0 row)))
+    (StrMap.bindings db.stores)
 
 let apply_increments db targets =
   List.fold_left

@@ -1,11 +1,18 @@
-(** Databases: a collection of named relations plus the confidence table.
+(** Databases: a collection of named relations plus their confidences.
 
     The confidence table implements the paper's first framework element:
     every base tuple carries a confidence value in [\[0,1\]], and optionally
     a cap — the maximum confidence the tuple can ever reach ("1 or its
     maximum possible confidence level", §4.1).  The data-quality-improvement
     component raises confidences through {!set_confidence}, respecting the
-    cap. *)
+    cap.
+
+    Confidences and caps are stored densely, per relation, indexed by
+    row id: an immutable array plus a small persistent overlay of later
+    writes, flattened into a fresh array once it outgrows a fixed
+    fraction of the relation.  Reads are constant-time while the overlay
+    is empty; every {!t} is an immutable value that older copies, sibling
+    copies and other domains can keep reading. *)
 
 type t
 
@@ -98,7 +105,12 @@ val shard_tuples : t -> int array
     [pcqe_shard_tuples] gauge. *)
 
 val add_relation : t -> Relation.t -> t
-(** [add_relation db r] adds or replaces the relation named [Relation.name r]. *)
+(** [add_relation db r] adds or replaces the relation named
+    [Relation.name r].  Every stored row of [r] starts at confidence 0.0
+    and cap 1.0 (raise them with {!seed_confidence} and
+    {!set_confidence_cap}); nothing of a replaced relation's confidences
+    or caps survives, and replacing a relation that had rows advances the
+    confidence epoch, logging those rows. *)
 
 val relation : t -> string -> Relation.t option
 val relation_exn : t -> string -> Relation.t
@@ -115,21 +127,23 @@ val insert : t -> string -> Value.t list -> conf:float -> t * Lineage.Tid.t
 
 val seed_confidence : t -> Lineage.Tid.t -> float -> t
 (** [seed_confidence db tid p] records the initial confidence of a tuple
-    that was inserted into a relation outside {!insert} (bulk loaders).
-    Unlike {!set_confidence} it does not require an existing entry.
-    @raise Invalid_argument if [p] is outside [\[0,1\]] or the tuple does
-    not exist in its relation. *)
+    that was inserted into a relation outside {!insert} (provenance-based
+    assignment).  Unlike {!set_confidence} it ignores the tuple's cap.
+    @raise Invalid_argument if [p] is outside [\[0,1\]] or the tuple is
+    not stored. *)
 
 val bulk_load : t -> Relation.t -> float array -> t
 (** [bulk_load db r confs] adds (or replaces) relation [r] wholesale,
     seeding the confidence of the tuple with id [i] from [confs.(i)] —
-    the bulk-ingest counterpart of per-row {!insert}.  Advances the
-    structural and confidence epochs {e once} each instead of per tuple;
-    the confidence change-log entry lists every loaded tuple, so
-    {!changed_since} remains truthful when an existing relation is
-    replaced.
-    @raise Invalid_argument if [Array.length confs] differs from the
-    relation's cardinality or any confidence is outside [\[0,1\]]. *)
+    the bulk-ingest counterpart of per-row {!insert}.  [confs] is copied
+    in O(n); the relation's confidences and caps are replaced wholesale,
+    so nothing of a replaced relation survives.  Advances the structural
+    and confidence epochs {e once} each instead of per tuple; the
+    confidence change-log entry lists every loaded tuple and every
+    dropped one, so {!changed_since} remains truthful when an existing
+    relation is replaced.
+    @raise Invalid_argument if [Array.length confs] differs from
+    [Relation.next_row r] or any confidence is outside [\[0,1\]]. *)
 
 val confidence : t -> Lineage.Tid.t -> float
 (** [confidence db tid] is the stored confidence (0.0 for unknown tuples —
@@ -138,19 +152,29 @@ val confidence : t -> Lineage.Tid.t -> float
 val confidence_cap : t -> Lineage.Tid.t -> float
 (** Maximum confidence this tuple can be raised to (default 1.0). *)
 
+val fill_confidences : t -> Lineage.Tid.t array -> float array -> unit
+(** [fill_confidences db tids out] sets [out.(i)] to
+    [confidence db tids.(i)] for every [i] — the bulk read behind scan
+    batches: one store lookup per run of same-relation tuples and no
+    per-row boxing.
+    @raise Invalid_argument if [out] is shorter than [tids]. *)
+
 val set_confidence : t -> Lineage.Tid.t -> float -> t
 (** [set_confidence db tid p] updates the confidence.
-    @raise Invalid_argument if [p] is outside [\[0, cap\]] or [tid] has no
-    confidence entry. *)
+    @raise Invalid_argument if [p] is outside [\[0, cap\]] or [tid] is
+    not stored. *)
 
 val set_confidence_cap : t -> Lineage.Tid.t -> float -> t
-(** @raise Invalid_argument if the cap is outside [\[current confidence, 1\]]. *)
+(** @raise Invalid_argument if the cap is outside
+    [\[current confidence, 1\]] or [tid] is not stored. *)
 
 val confidence_fn : t -> Lineage.Tid.t -> float
 (** [confidence_fn db] is {!confidence} partially applied — the assignment
     passed to {!Lineage.Approx.confidence}. *)
 
 val all_confidences : t -> (Lineage.Tid.t * float) list
+(** Every stored tuple with its confidence, ordered by relation name,
+    then row. *)
 
 val apply_increments : t -> (Lineage.Tid.t * float) list -> t
 (** [apply_increments db deltas] raises each listed tuple's confidence to

@@ -14,6 +14,7 @@ let create name schema =
 let name r = r.name
 let schema r = r.schema
 let cardinality r = Tid.Map.cardinal r.rows
+let next_row r = r.next_row
 
 let insert r tup =
   if not (Tuple.conforms tup r.schema) then
@@ -56,24 +57,6 @@ let of_tuples name schema tups =
       (Tid.Map.empty, [], 0) tups
   in
   { name; schema; next_row = n; rows; order }
-
-let delete r tid =
-  if Tid.Map.mem tid r.rows then
-    {
-      r with
-      rows = Tid.Map.remove tid r.rows;
-      order = List.filter (fun t -> not (Tid.equal t tid)) r.order;
-    }
-  else r
-
-let update r tid tup =
-  if not (Tid.Map.mem tid r.rows) then
-    invalid_arg
-      (Printf.sprintf "Relation.update(%s): no tuple %s" r.name (Tid.to_string tid));
-  if not (Tuple.conforms tup r.schema) then
-    invalid_arg
-      (Printf.sprintf "Relation.update(%s): tuple does not conform" r.name);
-  { r with rows = Tid.Map.add tid tup r.rows }
 
 let find r tid = Tid.Map.find_opt tid r.rows
 

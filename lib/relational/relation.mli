@@ -1,7 +1,7 @@
 (** Base relations: a named schema plus stored tuples with stable ids.
 
     Tuples keep the identifier assigned at insertion time for their whole
-    life; deleting a tuple never renumbers the others.  Identifiers are the
+    life; identifiers are never reused or renumbered.  Identifiers are the
     variables of lineage formulas, so stability is essential. *)
 
 type t
@@ -12,6 +12,11 @@ val create : string -> Schema.t -> t
 val name : t -> string
 val schema : t -> Schema.t
 val cardinality : t -> int
+
+val next_row : t -> int
+(** The id the next inserted tuple will get: the stored rows of a
+    relation built by {!create}, {!insert} and {!of_tuples} are exactly
+    rows [\[0, next_row)]. *)
 
 val insert : t -> Tuple.t -> t * Lineage.Tid.t
 (** [insert r tup] appends [tup], returning the new relation and the fresh
@@ -29,13 +34,6 @@ val of_tuples : string -> Schema.t -> Tuple.t list -> t
     [create] followed by [n] {!insert}s would produce, in one pass
     (bulk loaders).
     @raise Invalid_argument if a tuple does not conform to the schema. *)
-
-val delete : t -> Lineage.Tid.t -> t
-(** [delete r tid] removes the tuple; a no-op if absent. *)
-
-val update : t -> Lineage.Tid.t -> Tuple.t -> t
-(** [update r tid tup] replaces the tuple stored under [tid].
-    @raise Invalid_argument if [tid] is absent or [tup] does not conform. *)
 
 val find : t -> Lineage.Tid.t -> Tuple.t option
 

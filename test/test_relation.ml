@@ -1,4 +1,4 @@
-(* Tests for base relations: tid stability, insert/delete/update. *)
+(* Tests for base relations: tid assignment, insertion, iteration. *)
 
 module R = Relational.Relation
 module V = Relational.Value
@@ -22,38 +22,6 @@ let test_insert_type_check () =
   Alcotest.(check bool) "bad tuple rejected" true
     (try
        ignore (R.insert r (Relational.Tuple.of_list [ V.Int 1; V.Int 2 ]));
-       false
-     with Invalid_argument _ -> true)
-
-let test_delete_keeps_other_tids () =
-  let r = R.create "R" schema in
-  let r, t0 = R.insert r (row "a" 1) in
-  let r, t1 = R.insert r (row "b" 2) in
-  let r = R.delete r t0 in
-  Alcotest.(check int) "one left" 1 (R.cardinality r);
-  Alcotest.(check bool) "t1 still resolvable" true (R.find r t1 <> None);
-  (* a fresh insert must not reuse the deleted id *)
-  let _, t2 = R.insert r (row "c" 3) in
-  Alcotest.(check string) "fresh id" "R#2" (Tid.to_string t2)
-
-let test_delete_missing_is_noop () =
-  let r = R.create "R" schema in
-  let r, _ = R.insert r (row "a" 1) in
-  let r' = R.delete r (Tid.make "R" 99) in
-  Alcotest.(check int) "unchanged" (R.cardinality r) (R.cardinality r')
-
-let test_update () =
-  let r = R.create "R" schema in
-  let r, t0 = R.insert r (row "a" 1) in
-  let r = R.update r t0 (row "a" 42) in
-  (match R.find r t0 with
-  | Some t ->
-    Alcotest.(check bool) "updated" true
-      (V.equal (Relational.Tuple.get t 1) (V.Int 42))
-  | None -> Alcotest.fail "tuple vanished");
-  Alcotest.(check bool) "update of missing tid rejected" true
-    (try
-       ignore (R.update r (Tid.make "R" 7) (row "x" 0));
        false
      with Invalid_argument _ -> true)
 
@@ -106,9 +74,6 @@ let () =
         [
           Alcotest.test_case "sequential tids" `Quick test_insert_assigns_sequential_tids;
           Alcotest.test_case "type check" `Quick test_insert_type_check;
-          Alcotest.test_case "delete stability" `Quick test_delete_keeps_other_tids;
-          Alcotest.test_case "delete missing" `Quick test_delete_missing_is_noop;
-          Alcotest.test_case "update" `Quick test_update;
           Alcotest.test_case "insertion order" `Quick test_tuples_in_insertion_order;
           Alcotest.test_case "functional" `Quick test_functional_updates;
           Alcotest.test_case "fold" `Quick test_fold;

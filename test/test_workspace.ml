@@ -102,9 +102,16 @@ let test_error_messages_carry_location () =
   | Ok _ -> Alcotest.fail "bad cost spec must fail");
   populate dir;
   write (Filename.concat dir "caps.txt") "Info#0 7\n";
-  match W.load dir with
+  (match W.load dir with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad cap must fail"
+  | Ok _ -> Alcotest.fail "bad cap must fail");
+  (* a cap for a tuple that is not stored fails closed *)
+  write (Filename.concat dir "caps.txt") "Info#1000000000 0.8\n";
+  match W.load dir with
+  | Error msg ->
+    Alcotest.(check bool) "mentions caps.txt" true
+      (String.length msg >= 8 && String.sub msg 0 8 = "caps.txt")
+  | Ok _ -> Alcotest.fail "cap for an unstored tuple must fail"
 
 let test_improve_save_reload () =
   let dir = fresh_dir () in
