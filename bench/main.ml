@@ -1751,7 +1751,9 @@ let sweep_server ?(rows = 1500) ?(principals = 4) ?(requests = 30)
        that shard's bounded change log).  On the next answer the cache
        must flush the flooded shard's classes and nothing else: at one
        shard the flood takes the whole cache down, at 4/8 shards the
-       recomputed/total ratio drops towards 1/shards.
+       recomputed/total ratio drops towards 1-(1-1/shards)^2: a
+       self-join class names two tuples, and is flushed when either
+       tuple's shard is.
 
    (2) loadgen — per-principal requests (>= 1024 principals in the full
        run) served from one session over the shared sharded store;

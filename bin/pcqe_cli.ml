@@ -789,11 +789,11 @@ let shards_arg =
     & opt (some int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Hash-partition the database across $(docv) shards: scans and \
-           filters scatter per shard (in parallel under --jobs) and gather \
-           in global row order, and confidence-cache invalidation is \
-           per-shard.  Pure routing: answers, lineage and solver outcomes \
-           are bit-identical at every shard count.  Default 1 (unsharded).")
+          "Hash-partition the database's tuple ids across $(docv) shards, \
+           each with its own epochs and change log, so confidence-cache \
+           invalidation is per-shard.  Pure routing: answers, lineage and \
+           solver outcomes are bit-identical at every shard count.  \
+           Default 1 (unsharded).")
 
 let deadline_arg =
   Arg.(

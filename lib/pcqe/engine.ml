@@ -426,8 +426,8 @@ module Session = struct
       (Caches.plans (caches t))
       ~db:t.ctx.db ~views:t.ctx.views query
 
-  (* serving-grade gauges: cache occupancy/counters and the database
-     epochs, refreshed after every served answer so a metrics export
+  (* serving-grade gauges: cache occupancy/counters and the per-shard
+     database state, refreshed after every served answer so a metrics export
      always reflects the live serving state *)
   let export_gauges t =
     let ctx = t.ctx in
@@ -435,10 +435,6 @@ module Session = struct
     | None -> ()
     | Some _ as obs ->
       Caches.export_gauges (caches t) obs;
-      Obs.set_gauge obs "db.structural_epoch"
-        (float_of_int (Db.structural_epoch ctx.db));
-      Obs.set_gauge obs "db.confidence_epoch"
-        (float_of_int (Db.confidence_epoch ctx.db));
       (* per-shard serving state: confidence epoch, owned tuples, and
          conf-cache occupancy, labelled by shard number — one series per
          shard in the OpenMetrics export *)

@@ -7,11 +7,10 @@ type t = {
   safe : bool;
       (* Safe_plan verdict, decided once at compile time: the plan is
          static, so safety is a property of the prepared entry *)
-  structural_epoch : int;
   structural_vector : int array;
       (* composite per-shard stamp: validity is vector equality, so a
          re-partition (same contents, new shard layout) retires the
-         entry even though the scalar epoch never moved *)
+         entry *)
   views_epoch : int;
   mutable evaluated : (int array * Relational.Eval.annotated) option;
   mutable confs : (int array * float array) option;
@@ -26,7 +25,6 @@ let key t = t.key
 let plan t = t.plan
 let base_relations t = t.base_relations
 let safe t = t.safe
-let structural_epoch t = t.structural_epoch
 let structural_vector t = t.structural_vector
 let views_epoch t = t.views_epoch
 
@@ -44,7 +42,6 @@ let compile ?obs ~db ~views query =
       plan;
       base_relations = Relational.Algebra.base_relations plan;
       safe = Relational.Safe_plan.analyze plan;
-      structural_epoch = Db.structural_epoch db;
       structural_vector = Db.structural_vector db;
       views_epoch = Relational.Views.epoch views;
       evaluated = None;
@@ -61,10 +58,10 @@ let eval ?obs ?pool t ~db =
     Obs.incr obs "serving.eval_reused";
     Ok res
   | _ ->
-    (* sharded scatter/gather over the hybrid evaluator: vectorizable
-       fragments run columnar per shard, the rest falls back to the row
-       engine (bit-identical results on every path) *)
-    let* res = Relational.Sharded.run ?pool db t.plan in
+    (* the hybrid evaluator: vectorizable fragments run columnar, the
+       rest falls back to the row engine (bit-identical results on every
+       path) *)
+    let* res = Relational.Col_eval.run ?pool db t.plan in
     t.evaluated <- Some (Db.structural_vector db, res);
     Ok res
 
@@ -78,7 +75,7 @@ let row_confs db (res : Relational.Eval.annotated) =
 
 (* [eval] plus safe-plan confidences.  For a safe plan the cold
    evaluation computes confidences during batch evaluation
-   ([Sharded.run_conf]); memo hits whose confidence vector moved refresh
+   ([Col_eval.run_conf]); memo hits whose confidence vector moved refresh
    them with one linear read-once pass over the memoized rows. [None]
    confidences mean the caller runs the ladder. *)
 let eval_conf ?obs ?pool t ~db =
@@ -97,7 +94,7 @@ let eval_conf ?obs ?pool t ~db =
         t.confs <- Some (cv, confs);
         Ok (res, Some confs))
     | _ -> (
-      let* res, confs = Relational.Sharded.run_conf ?pool db t.plan in
+      let* res, confs = Relational.Col_eval.run_conf ?pool db t.plan in
       t.evaluated <- Some (sv, res);
       (* [run_conf] analyses the same plan, so it always prices a safe one *)
       let confs =

@@ -6,9 +6,9 @@
     never on the requesting principal or the current confidence vector.
     A [Prepared.t] captures that prefix: parse → view expansion →
     rewrite, stamped with the epochs it was compiled against
-    ({!Relational.Database.structural_epoch},
+    ({!Relational.Database.structural_vector},
     {!Relational.Views.epoch}), plus a one-slot cache of the evaluated
-    annotated result keyed by structural epoch.
+    annotated result keyed by structural vector.
 
     Validity is stamp {e equality}: any schema/tuple mutation or any
     view (re)definition yields fresh stamps and silently retires the
@@ -44,15 +44,12 @@ val safe : t -> bool
     once at prepare time: [true] means every result row provably carries
     read-once lineage, so {!eval_conf} can compute confidences inline. *)
 
-val structural_epoch : t -> int
-
 val structural_vector : t -> int array
 (** The per-shard structural epoch vector pinned at compile time
     ({!Relational.Database.structural_vector}).  Validity and the
-    evaluation memo key on this composite stamp, not the scalar: a
-    shard re-partition retires the entry even though contents (and the
-    scalar epoch) never moved, while an insert into one shard retires
-    it through that shard's slot alone. *)
+    evaluation memo key on this composite stamp: a shard re-partition
+    retires the entry even though contents never moved, while an insert
+    into one shard retires it through that shard's slot alone. *)
 
 val views_epoch : t -> int
 
@@ -67,13 +64,12 @@ val eval :
   t ->
   db:Relational.Database.t ->
   (Relational.Eval.annotated, string) result
-(** Evaluate the plan through the sharded scatter/gather engine
-    ({!Relational.Sharded}), reusing the cached annotated result when
+(** Evaluate the plan through the hybrid columnar evaluator
+    ({!Relational.Col_eval}), reusing the cached annotated result when
     the database's structural vector still matches (counted as
     [serving.eval_reused]).  The cache holds one vector: a structural
-    mutation re-evaluates and replaces it.  [pool] parallelizes the
-    per-shard scatter (and columnar mask filling); results are
-    independent of the jobs count. *)
+    mutation re-evaluates and replaces it.  [pool] parallelizes columnar
+    mask filling; results are independent of the jobs count. *)
 
 val eval_conf :
   ?obs:Obs.t ->

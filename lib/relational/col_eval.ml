@@ -486,16 +486,15 @@ let eval_mask (p : pred) b pool =
 (* ------------------------------------------------------------------ *)
 
 type centry = {
-  mutable conf_epoch : int;
+  mutable confs_at : int array;
+      (* the confidence vector the batch's conf column reflects *)
   batch : Colbatch.t option; (* [None]: the relation declined *)
 }
 
-(* Keyed by (relation name, structural epoch): per-shard views of the
-   same relation carry distinct shard-structural stamps, so each shard's
-   batch gets its own slot instead of evicting the others on every
-   alternation.  Stamps are process-globally unique, so a key can never
-   alias a different row set. *)
-let cache : (string * int, centry) Hashtbl.t = Hashtbl.create 16
+(* Keyed by (relation name, structural vector): the vector moves on every
+   row-set change of any shard, and stamps are process-globally unique,
+   so a key can never alias a different row set. *)
+let cache : (string * int array, centry) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 let cache_capacity = 64
 
@@ -503,7 +502,7 @@ let clear_cache () =
   Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
 
 let cached_batch db r =
-  let key = (Relation.name r, Database.structural_epoch db) in
+  let key = (Relation.name r, Database.structural_vector db) in
   Mutex.protect cache_mutex (fun () ->
       match Hashtbl.find_opt cache key with
       | Some e -> e.batch
@@ -511,7 +510,7 @@ let cached_batch db r =
         if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
         let batch = Colbatch.of_relation db r in
         Hashtbl.replace cache key
-          { conf_epoch = Database.confidence_epoch db; batch };
+          { confs_at = Database.confidence_vector db; batch };
         batch)
 
 let scan_batch db name =
@@ -521,13 +520,13 @@ let scan_batch db name =
     match cached_batch db r with
     | None -> None
     | Some b ->
-      let key = (name, Database.structural_epoch db) in
-      let ce = Database.confidence_epoch db in
+      let key = (name, Database.structural_vector db) in
+      let live = Database.confidence_vector db in
       Mutex.protect cache_mutex (fun () ->
           match Hashtbl.find_opt cache key with
-          | Some e when e.conf_epoch <> ce ->
+          | Some e when e.confs_at <> live ->
             Colbatch.refresh_confidences db b;
-            e.conf_epoch <- ce
+            e.confs_at <- live
           | _ -> ());
       Some b)
 
@@ -591,42 +590,30 @@ let rec compile_plan db (plan : Algebra.t) : staged option =
         Some (fun pool -> Colbatch.with_schema (child pool) schema)))
   | _ -> None
 
-let enabled () =
-  match Sys.getenv_opt "PCQE_COLUMNAR" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
-let vectorizes db plan = enabled () && Option.is_some (compile_plan db plan)
+let vectorizes db plan = Option.is_some (compile_plan db plan)
 
 let run_rows ?pool db plan =
-  if not (enabled ()) then Eval.run_rows db plan
-  else
-    let rec hybrid db plan =
-      match compile_plan db plan with
-      | Some exec -> Ok (Colbatch.to_rows (exec pool))
-      | None -> Eval.run_rows_via hybrid db plan
-    in
-    hybrid db plan
+  let rec hybrid db plan =
+    match compile_plan db plan with
+    | Some exec -> Ok (Colbatch.to_rows (exec pool))
+    | None -> Eval.run_rows_via hybrid db plan
+  in
+  hybrid db plan
 
 let run ?pool db plan =
   let* schema = Algebra.output_schema db plan in
   let* rows = run_rows ?pool db plan in
   Ok { Eval.schema; rows }
 
-(* Safe-plan fast path (see [Eval.run_conf]): confidences computed during
-   batch evaluation.  A fully vectorized plan keeps [Tids] lineage, whose
-   row confidence IS the cached base-confidence column — one array read
-   per row, no formula walk at all.  Dedup pipelines ([Forms]) and hybrid
-   fallbacks use the linear read-once evaluator per row.  Either way the
-   values are bitwise what the ladder's read-once rung returns. *)
+(* Safe-plan fast path: when [Safe_plan] proves every row's lineage
+   read-once, confidences are computed during batch evaluation.  A fully
+   vectorized plan keeps [Tids] lineage, whose row confidence IS the
+   cached base-confidence column — one array read per row, no formula
+   walk at all.  Dedup pipelines ([Forms]) and hybrid fallbacks use the
+   linear read-once evaluator per row.  Either way the values are
+   bitwise what the ladder's read-once rung returns. *)
 let run_conf ?pool db plan =
-  let safe () = Safe_plan.analyze plan in
-  if not (enabled ()) then
-    if safe () then Eval.run_conf db plan
-    else
-      let* res = Eval.run db plan in
-      Ok (res, None)
-  else if not (safe ()) then
+  if not (Safe_plan.analyze plan) then
     let* res = run ?pool db plan in
     Ok (res, None)
   else

@@ -23,16 +23,10 @@
     (disjoint row ranges, so results are independent of the jobs count).
 
     Scan batches are cached per relation name, keyed by the database's
-    structural epoch, in a small process-global table; confidence updates
-    do not invalidate them (lineage and values are confidence-independent
-    — {!scan_batch} refreshes the confidence column on demand).
-
-    Set [PCQE_COLUMNAR=0] (or [off]/[false]/[no]) to disable the
-    vectorized path entirely; {!run} then behaves exactly like
-    {!Eval.run}. *)
-
-val enabled : unit -> bool
-(** Whether the columnar path is on (the [PCQE_COLUMNAR] gate). *)
+    structural vector, in a small process-global table; confidence
+    updates do not invalidate them (lineage and values are
+    confidence-independent).  {!scan_batch} refreshes a batch's
+    confidence column when the confidence vector moved. *)
 
 val vectorizes : Database.t -> Algebra.t -> bool
 (** [vectorizes db plan] is [true] when the {e whole} plan compiles to
@@ -58,7 +52,7 @@ val run_conf :
   Database.t ->
   Algebra.t ->
   (Eval.annotated * float array option, string) result
-(** Columnar counterpart of {!Eval.run_conf}: evaluates [plan] and, when
+(** {!run} plus safe-plan confidences: evaluates [plan] and, when
     the static {!Safe_plan} analysis proves it safe, returns per-row confidences computed
     during batch evaluation — for fully vectorized pipelines the values
     come straight from the cached confidence column (one array read per
@@ -67,7 +61,7 @@ val run_conf :
 
 val scan_batch : Database.t -> string -> Colbatch.t option
 (** The cached columnar image of a base relation with its confidence
-    column refreshed to the database's current confidence epoch, or
+    column current for the database's confidence vector, or
     [None] for unknown/declined relations.  Used by ranking helpers
     (top-K by confidence) and benchmarks. *)
 

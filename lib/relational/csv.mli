@@ -50,11 +50,9 @@ val load_string_bulk :
     for any jobs count.  On malformed input the reported error is the
     one {!load_into} would give (lowest line number wins).  Registration
     goes through {!Database.bulk_load}: one structural and one
-    confidence epoch bump for the whole load instead of per row, and on
-    a sharded database the parsed rows are routed straight to their
-    owning shards in the same single pass — each touched shard gets its
-    own stamp and one truthful change-log entry listing the tuples it
-    received. *)
+    confidence epoch bump for the whole load instead of per row; on a
+    sharded database each touched shard gets its own stamp and one
+    truthful change-log entry listing the tuples it owns. *)
 
 val load_file_bulk :
   Database.t ->

@@ -2,21 +2,26 @@ module Tid = Lineage.Tid
 module StrMap = Map.Make (String)
 module IntMap = Map.Make (Int)
 
-(* The confidence change log is bounded: callers that fall behind by more
-   than this many mutations get [None] from [changed_since] and must
-   invalidate wholesale.  The same capacity applies independently to each
-   shard's log, which is why a multi-shard database keeps targeted
-   invalidation alive under write volumes that overflow a single log. *)
-let conf_log_capacity = 256
+(* Each shard's confidence change log is bounded: callers that fall
+   behind a shard by more than this many mutations get [None] from
+   [shard_changed_since] and must invalidate that shard wholesale.  The
+   capacity applies independently to each shard's log, which is why a
+   multi-shard database keeps targeted invalidation alive under write
+   volumes that overflow a single log. *)
+let log_capacity = 256
 
-(* Per-shard epoch state.  Every shard owns its own structural/confidence
-   stamp pair plus a bounded change log restricted to the tuples it owns;
-   stamps come from the same process-global {!Epoch} counter as the
-   database-wide ones, so equality is still exact version identity. *)
+(* Per-shard epoch state, the database's only epoch mechanism.  Every
+   shard owns its own structural/confidence stamp pair plus a bounded
+   change log restricted to the tuples it owns; stamps come from the
+   process-global {!Epoch} counter, so equality is exact version
+   identity.  The log is a persistent map keyed by stamp, so a write
+   adds one binding and, once the log is full, drops the oldest one:
+   O(log capacity) instead of a copy of the whole log. *)
 type shard = {
   sh_structural : int;
   sh_confidence : int;
-  sh_log : (int * Tid.t list) list; (* newest-first, shard-owned tids only *)
+  sh_log : Tid.t list IntMap.t; (* stamp -> shard-owned tids changed at it *)
+  sh_log_n : int; (* [IntMap.cardinal sh_log] *)
   sh_floor : int; (* largest stamp dropped from [sh_log]; 0 = none *)
 }
 
@@ -39,6 +44,7 @@ type column = {
 
 type store = {
   rows : int; (* rows [0, rows) are stored: the relation's [next_row] *)
+  owned : int array; (* stored rows per owning shard, one slot per shard *)
   conf : column; (* default 0.0 *)
   cap : column; (* default 1.0 *)
 }
@@ -76,63 +82,58 @@ let write col ~default ~rows row p =
 type t = {
   relations : Relation.t StrMap.t;
   stores : store StrMap.t; (* one per relation, same keys *)
-  structural_epoch : int;
-      (* advances on schema/tuple mutation: cached plans and cached
-         evaluation results keyed on this stamp *)
-  confidence_epoch : int;
-      (* advances on confidence/cap mutation: cached per-formula
-         confidences keyed on this stamp *)
-  conf_log : (int * Tid.t list) list;
-      (* newest-first: (stamp, tuples whose confidence changed at that
-         stamp); bounded to [conf_log_capacity] entries *)
-  conf_log_floor : int;
-      (* largest stamp ever dropped from the log (0 = nothing dropped):
-         history at or below it is unrecoverable *)
   shards : shard array; (* length >= 1; length 1 = unsharded *)
-  partition : Relation.t StrMap.t array option Atomic.t;
-      (* memoized per-shard relation maps, recomputed lazily after each
-         structural mutation.  Confidence-only copies share the cell —
-         their relation maps are physically identical, so the memoized
-         value is valid for every copy that can see it. *)
 }
 
-let fresh_partition () = Atomic.make None
-
 let empty_shard =
-  { sh_structural = 0; sh_confidence = 0; sh_log = []; sh_floor = 0 }
-
-let empty =
   {
-    relations = StrMap.empty;
-    stores = StrMap.empty;
-    structural_epoch = 0;
-    confidence_epoch = 0;
-    conf_log = [];
-    conf_log_floor = 0;
-    shards = [| empty_shard |];
-    partition = fresh_partition ();
+    sh_structural = 0;
+    sh_confidence = 0;
+    sh_log = IntMap.empty;
+    sh_log_n = 0;
+    sh_floor = 0;
   }
 
-let structural_epoch db = db.structural_epoch
-let confidence_epoch db = db.confidence_epoch
+let empty =
+  { relations = StrMap.empty; stores = StrMap.empty; shards = [| empty_shard |] }
+
 let shard_count db = Array.length db.shards
 
 (* Deterministic hash routing: a pure function of the tuple id and the
    shard count, identical across processes and runs (no randomized
    hashing), so a re-opened database routes every tuple to the same
    shard. *)
+let route ~shards rel_hash row =
+  ((rel_hash lxor (row * 0x9e3779b1)) land max_int) mod shards
+
 let shard_of ~shards (tid : Tid.t) =
-  if shards <= 1 then 0
-  else
-    let h = Hashtbl.hash tid.Tid.rel lxor (tid.Tid.row * 0x9e3779b1) in
-    (h land max_int) mod shards
+  if shards <= 1 then 0 else route ~shards (Hashtbl.hash tid.rel) tid.row
 
 let shard_of_tid db tid = shard_of ~shards:(Array.length db.shards) tid
 let structural_vector db = Array.map (fun s -> s.sh_structural) db.shards
 let confidence_vector db = Array.map (fun s -> s.sh_confidence) db.shards
 
+(* Rows [0, rows) of relation [name], counted by owning shard. *)
+let count_owned ~shards name rows =
+  if shards = 1 then [| rows |]
+  else begin
+    let owned = Array.make shards 0 and h = Hashtbl.hash name in
+    for row = 0 to rows - 1 do
+      let i = route ~shards h row in
+      owned.(i) <- owned.(i) + 1
+    done;
+    owned
+  end
+
+let shard_tuples db =
+  let tuples = Array.make (Array.length db.shards) 0 in
+  StrMap.iter
+    (fun _ st -> Array.iteri (fun i n -> tuples.(i) <- tuples.(i) + n) st.owned)
+    db.stores;
+  tuples
+
 (* [only = Some i] stamps just the owning shard (a row landed there; the
-   other shards' views are untouched, so their caches stay valid);
+   other shards' rows are untouched, so their caches stay valid);
    [None] stamps every shard (relation-level mutation). *)
 let bump_structural ?only db =
   let shards =
@@ -143,84 +144,64 @@ let bump_structural ?only db =
         | _ -> { s with sh_structural = Epoch.next () })
       db.shards
   in
-  {
-    db with
-    structural_epoch = Epoch.next ();
-    shards;
-    partition = fresh_partition ();
-  }
+  { db with shards }
 
-let push_log ~log ~floor stamp tids =
-  let log = (stamp, tids) :: log in
-  let rec take n = function
-    | [] -> ([], None)
-    | (stamp, _) :: _ when n = 0 -> ([], Some stamp)
-    | entry :: rest ->
-      let kept, dropped = take (n - 1) rest in
-      (entry :: kept, dropped)
-  in
-  let log, dropped = take conf_log_capacity log in
-  (log, match dropped with Some s -> max s floor | None -> floor)
-
-let bump_confidence db tids =
+(* One stamp and one log entry for the shard; past [log_capacity]
+   entries the oldest is dropped and becomes the floor. *)
+let push_log s tids =
   let stamp = Epoch.next () in
-  let conf_log, conf_log_floor =
-    push_log ~log:db.conf_log ~floor:db.conf_log_floor stamp tids
-  in
-  (* route the dirty tuples to their owning shards: each touched shard
-     gets its own stamp and one log entry listing only its tuples, so a
-     per-shard cache falling behind on shard [i] never pays for traffic
-     that only ever dirtied shard [j] *)
+  let log = IntMap.add stamp tids s.sh_log in
+  if s.sh_log_n < log_capacity then
+    { s with sh_confidence = stamp; sh_log = log; sh_log_n = s.sh_log_n + 1 }
+  else
+    let dropped, _ = IntMap.min_binding log in
+    {
+      s with
+      sh_confidence = stamp;
+      sh_log = IntMap.remove dropped log;
+      sh_floor = max dropped s.sh_floor;
+    }
+
+(* Route the dirty tuples to their owning shards: each touched shard gets
+   its own stamp and one log entry listing only its tuples, so a
+   per-shard cache falling behind on shard [i] never pays for traffic
+   that only ever dirtied shard [j]. *)
+let bump_confidence db tids =
   let count = Array.length db.shards in
-  let by_shard = Array.make count [] in
-  List.iter
-    (fun tid ->
-      let i = shard_of ~shards:count tid in
-      by_shard.(i) <- tid :: by_shard.(i))
-    tids;
+  let by_shard =
+    if count = 1 then [| tids |]
+    else begin
+      let by_shard = Array.make count [] in
+      List.iter
+        (fun tid ->
+          let i = shard_of ~shards:count tid in
+          by_shard.(i) <- tid :: by_shard.(i))
+        (List.rev tids);
+      by_shard
+    end
+  in
   let shards =
     Array.mapi
-      (fun i s ->
-        match by_shard.(i) with
-        | [] -> s
-        | rev ->
-          let stamp = Epoch.next () in
-          let sh_log, sh_floor =
-            push_log ~log:s.sh_log ~floor:s.sh_floor stamp (List.rev rev)
-          in
-          { s with sh_confidence = stamp; sh_log; sh_floor })
+      (fun i s -> match by_shard.(i) with [] -> s | tids -> push_log s tids)
       db.shards
   in
-  { db with confidence_epoch = stamp; conf_log; conf_log_floor; shards }
+  { db with shards }
 
-(* [since] must be a stamp the logged history actually passed through —
-   the current epoch, a stamp recorded in the log, or 0 (the empty
-   state, ancestor of every chain) with nothing dropped.  A stamp from
+(* [since] must be a stamp the shard's logged history actually passed
+   through: the current epoch, a stamp recorded in the log, or the floor
+   (the last dropped stamp, or the shard's starting stamp).  A stamp from
    a divergent history (a sibling copy mutated independently) is not
    found, and the caller must invalidate wholesale. *)
-let log_changed_since ~current ~log ~floor ~since =
-  if since = current then Some Tid.Set.empty
-  else if since < floor then None
-  else
-    let rec collect acc = function
-      | [] -> if (since = 0 && floor = 0) || since = floor then Some acc else None
-      | (stamp, _) :: _ when stamp = since -> Some acc
-      | (stamp, _) :: _ when stamp < since -> None
-      | (_, tids) :: rest ->
-        collect
-          (List.fold_left (fun acc tid -> Tid.Set.add tid acc) acc tids)
-          rest
-    in
-    collect Tid.Set.empty log
-
-let changed_since db ~since =
-  log_changed_since ~current:db.confidence_epoch ~log:db.conf_log
-    ~floor:db.conf_log_floor ~since
-
 let shard_changed_since db ~shard ~since =
   let s = db.shards.(shard) in
-  log_changed_since ~current:s.sh_confidence ~log:s.sh_log ~floor:s.sh_floor
-    ~since
+  if since = s.sh_confidence then Some Tid.Set.empty
+  else if since = s.sh_floor || IntMap.mem since s.sh_log then
+    let _, _, newer = IntMap.split since s.sh_log in
+    Some
+      (IntMap.fold
+         (fun _ tids acc -> List.fold_left (Fun.flip Tid.Set.add) acc tids)
+         newer Tid.Set.empty)
+  else None
 
 let with_shards db n =
   if n < 1 then
@@ -237,67 +218,17 @@ let with_shards db n =
           {
             sh_structural = Epoch.next ();
             sh_confidence = sc;
-            sh_log = [];
+            sh_log = IntMap.empty;
+            sh_log_n = 0;
             sh_floor = sc;
           })
     in
-    { db with shards; partition = fresh_partition () }
-
-(* ------------------------------------------------------------------ *)
-(* Shard views                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let compute_partition relations ~count =
-  let owner tid = shard_of ~shards:count tid in
-  let parts = Array.make count StrMap.empty in
-  StrMap.iter
-    (fun name r ->
-      let rs = Relation.partition_rows r ~count ~owner in
-      Array.iteri (fun i ri -> parts.(i) <- StrMap.add name ri parts.(i)) rs)
-    relations;
-  parts
-
-let partition db =
-  match Atomic.get db.partition with
-  | Some p -> p
-  | None ->
-    let count = Array.length db.shards in
-    let p =
-      if count = 1 then [| db.relations |]
-      else compute_partition db.relations ~count
+    let stores =
+      StrMap.mapi
+        (fun name st -> { st with owned = count_owned ~shards:n name st.rows })
+        db.stores
     in
-    (* idempotent publish: racing writers compute the same value from the
-       same immutable relation maps *)
-    Atomic.set db.partition (Some p);
-    p
-
-let shard_view db i =
-  let count = Array.length db.shards in
-  if i < 0 || i >= count then
-    invalid_arg
-      (Printf.sprintf "Database.shard_view: shard %d outside [0,%d)" i count);
-  if count = 1 then db
-  else
-    let p = partition db in
-    let s = db.shards.(i) in
-    {
-      relations = p.(i);
-      (* the full confidence/cap stores: entries for foreign tuples are
-         unreachable from this view's lineage, and sharing the stores
-         keeps view construction O(1) past the memoized partition *)
-      stores = db.stores;
-      structural_epoch = s.sh_structural;
-      confidence_epoch = s.sh_confidence;
-      conf_log = s.sh_log;
-      conf_log_floor = s.sh_floor;
-      shards = [| s |];
-      partition = Atomic.make (Some [| p.(i) |]);
-    }
-
-let shard_tuples db =
-  Array.map
-    (fun m -> StrMap.fold (fun _ r acc -> acc + Relation.cardinality r) m 0)
-    (partition db)
+    { db with shards; stores }
 
 (* ------------------------------------------------------------------ *)
 (* Relations and mutators                                              *)
@@ -309,9 +240,18 @@ let store_of db (tid : Tid.t) =
   | Some st when tid.row >= 0 && tid.row < st.rows -> Some st
   | _ -> None
 
+(* A fresh store for rows [0, rows) of relation [name]. *)
+let fresh_store db name ~rows conf =
+  {
+    rows;
+    owned = count_owned ~shards:(Array.length db.shards) name rows;
+    conf;
+    cap = no_column;
+  }
+
 let add_relation db r =
   let name = Relation.name r in
-  let fresh = { rows = Relation.next_row r; conf = no_column; cap = no_column } in
+  let fresh = fresh_store db name ~rows:(Relation.next_row r) no_column in
   let db' =
     bump_structural
       {
@@ -348,15 +288,17 @@ let insert db rel_name vs ~conf =
   check_conf "confidence" conf;
   let r = relation_exn db rel_name in
   let r, tid = Relation.insert_values r vs in
+  let only = shard_of_tid db tid in
   let st = StrMap.find rel_name db.stores in
+  let owned = Array.copy st.owned in
+  owned.(only) <- owned.(only) + 1;
   let db =
     write_conf
       { db with relations = StrMap.add rel_name r db.relations }
       tid
-      { st with rows = Relation.next_row r }
+      { st with rows = Relation.next_row r; owned }
       conf
   in
-  let only = shard_of_tid db tid in
   (bump_confidence (bump_structural ~only db) [ tid ], tid)
 
 let seed_confidence db tid p =
@@ -380,40 +322,22 @@ let bulk_load db r confs =
      previous relation of that name survives.  One structural and one
      confidence bump for the whole load (the per-tuple [insert] path
      bumps both epochs per row); the change-log entries list every loaded
-     or dropped tuple — one entry per owning shard — so [changed_since]
-     and [shard_changed_since] stay truthful when an existing relation is
+     or dropped tuple, one entry per owning shard, so
+     [shard_changed_since] stays truthful when an existing relation is
      replaced *)
   let old_rows =
     match StrMap.find_opt name db.stores with Some st -> st.rows | None -> 0
   in
   let tids = List.init (max n old_rows) (Tid.make name) in
-  let store = { rows = n; conf = column_of (Array.copy confs); cap = no_column } in
-  let had = Atomic.get db.partition in
-  let db' =
-    bump_structural
-      {
-        db with
-        relations = StrMap.add name r db.relations;
-        stores = StrMap.add name store db.stores;
-      }
-  in
-  let count = Array.length db'.shards in
-  if count > 1 then begin
-    (* route the loaded rows directly to their owning shards in one pass,
-       extending (or building) the partition in place of a later lazy
-       re-partitioning scan of the whole database *)
-    let parts_r =
-      Relation.partition_rows r ~count ~owner:(shard_of ~shards:count)
-    in
-    let base =
-      match had with
-      | Some old when Array.length old = count -> old
-      | _ -> compute_partition (StrMap.remove name db.relations) ~count
-    in
-    let seeded = Array.mapi (fun i m -> StrMap.add name parts_r.(i) m) base in
-    Atomic.set db'.partition (Some seeded)
-  end;
-  bump_confidence db' tids
+  let store = fresh_store db name ~rows:n (column_of (Array.copy confs)) in
+  bump_confidence
+    (bump_structural
+       {
+         db with
+         relations = StrMap.add name r db.relations;
+         stores = StrMap.add name store db.stores;
+       })
+    tids
 
 let confidence db (tid : Tid.t) =
   match store_of db tid with

@@ -18,46 +18,33 @@ type t
 
 val empty : t
 
-(** {1 Epochs}
-
-    Two stamp counters (see {!Epoch}) let cache layers distinguish "the
-    plan is still valid" from "the confidences are still valid":
-
-    - the {e structural} epoch advances on schema/tuple mutation
-      ({!add_relation}, {!insert}) — cached plans and cached evaluation
-      results key on it;
-    - the {e confidence} epoch advances on confidence/cap mutation
-      ({!insert}, {!seed_confidence}, {!set_confidence},
-      {!set_confidence_cap}, {!apply_increments}) — cached per-formula
-      confidences key on it.
-
-    Stamps are process-globally unique: equality with a cached stamp
-    proves the cached snapshot is this exact version. *)
-
-val structural_epoch : t -> int
-val confidence_epoch : t -> int
-
-val changed_since : t -> since:int -> Lineage.Tid.Set.t option
-(** [changed_since db ~since] is the set of tuples whose confidence (or
-    cap) changed after the confidence epoch [since] — the targeted
-    invalidation set for a cache synced at [since].  [None] when the
-    answer is unknowable and the caller must invalidate wholesale:
-    [since] is older than the bounded change log reaches, or is not a
-    stamp of this database's history (a divergent sibling copy).
-    [Some Tid.Set.empty] iff the cache is already current. *)
-
-(** {1 Sharding}
+(** {1 Shards and epochs}
 
     A database is horizontally partitioned into [N >= 1] shards by a
-    deterministic hash of each tuple id ({!shard_of}).  Each shard owns
-    its {e own} structural/confidence epoch pair and its own bounded
-    change log restricted to the tuples it owns; the database-wide
-    scalar epochs above keep advancing exactly as before, so unsharded
-    callers are unaffected.  A mutation stamps only the shards it
-    touches: one principal's confidence bump on shard [i] never moves
-    shard [j]'s epochs, which is what lets per-shard caches skip
-    invalidation entirely for foreign traffic.  [N = 1] (the default
-    everywhere) is the unsharded database, bit for bit. *)
+    deterministic hash of each tuple id ({!shard_of}); [N = 1] (the
+    default everywhere) is the unsharded database.  Partitioning is
+    logical only: relations are stored and evaluated whole, and a shard
+    is the set of tuple ids routed to it.
+
+    Each shard owns a pair of stamp counters (see {!Epoch}) that let
+    cache layers distinguish "the plan is still valid" from "the
+    confidences are still valid":
+
+    - the {e structural} epoch advances on schema/tuple mutation:
+      {!add_relation} and {!bulk_load} stamp every shard, {!insert} only
+      the shard owning the new row.  Cached plans and cached evaluation
+      results key on the {!structural_vector};
+    - the {e confidence} epoch advances on confidence/cap mutation
+      ({!insert}, {!seed_confidence}, {!set_confidence},
+      {!set_confidence_cap}, {!apply_increments}, replacing a relation),
+      and only on the shards owning a touched tuple.  Cached confidences
+      revalidate against the {!confidence_vector}, one slot at a time.
+
+    Each shard also keeps a bounded change log of the tuples it owns,
+    so one principal's confidence bump on shard [i] never moves shard
+    [j]'s epochs and per-shard caches skip invalidation for foreign
+    traffic.  Stamps are process-globally unique: equality with a cached
+    stamp proves the cached snapshot is this exact version. *)
 
 val with_shards : t -> int -> t
 (** [with_shards db n] re-partitions [db] over [n] shards.  Contents are
@@ -78,8 +65,8 @@ val shard_of_tid : t -> Lineage.Tid.t -> int
 
 val structural_vector : t -> int array
 (** Per-shard structural epochs, index-aligned with shard numbers.  The
-    composite stamp prepared queries pin: equality (as a vector) proves
-    no shard's row set moved. *)
+    composite stamp prepared queries and scan batches pin: equality (as
+    a vector) proves no shard's row set moved. *)
 
 val confidence_vector : t -> int array
 (** Per-shard confidence epochs — the composite stamp confidence caches
@@ -87,18 +74,14 @@ val confidence_vector : t -> int array
 
 val shard_changed_since :
   t -> shard:int -> since:int -> Lineage.Tid.Set.t option
-(** {!changed_since} against one shard's log: the dirty tuples owned by
-    [shard] since its confidence epoch [since].  Same contract —
-    [None] demands a wholesale flush {e of that shard's classes only}. *)
-
-val shard_view : t -> int -> t
-(** [shard_view db i] is a read-only single-shard database holding
-    exactly the rows shard [i] owns (every relation name stays visible,
-    possibly empty), with the shard's epochs as its scalar epochs —
-    scatter execution evaluates plan fragments against these views.
-    Views are cheap: the row partition is memoized per structural epoch
-    and the confidence tables are shared.  Mutating a view is not
-    meaningful; route mutations through the parent database. *)
+(** [shard_changed_since db ~shard ~since] is the set of tuples owned by
+    [shard] whose confidence (or cap) changed after that shard's
+    confidence epoch [since] — the targeted invalidation set for a cache
+    synced at [since].  [None] when the answer is unknowable and the
+    caller must flush wholesale {e that shard's classes only}: [since]
+    is older than the shard's bounded change log (256 entries) reaches,
+    or is not a stamp of this database's history (a divergent sibling
+    copy).  [Some Tid.Set.empty] iff the shard is already current. *)
 
 val shard_tuples : t -> int array
 (** Per-shard stored-row counts (across all relations) — the
@@ -139,9 +122,9 @@ val bulk_load : t -> Relation.t -> float array -> t
     in O(n); the relation's confidences and caps are replaced wholesale,
     so nothing of a replaced relation survives.  Advances the structural
     and confidence epochs {e once} each instead of per tuple; the
-    confidence change-log entry lists every loaded tuple and every
-    dropped one, so {!changed_since} remains truthful when an existing
-    relation is replaced.
+    change-log entries list every loaded tuple and every dropped one, so
+    {!shard_changed_since} remains truthful when an existing relation is
+    replaced.
     @raise Invalid_argument if [Array.length confs] differs from
     [Relation.next_row r] or any confidence is outside [\[0,1\]]. *)
 

@@ -501,19 +501,6 @@ and run_rows_via recurse db plan =
 let run_exn db plan =
   match run db plan with Ok r -> r | Error msg -> failwith ("Eval.run: " ^ msg)
 
-(* Safe-plan fast path: when the static analysis proves every row's
-   lineage read-once, confidences are computed inline with the linear
-   product evaluator — the ladder, the class cache, and all their
-   bookkeeping are skipped.  The values are bitwise what the ladder's
-   read-once rung would return. *)
-let run_conf db plan =
-  let* res = run db plan in
-  if Safe_plan.analyze plan then
-    let p = Database.confidence_fn db in
-    let conf r = Lineage.Prob.read_once p r.lineage in
-    Ok (res, Some (Array.of_list (List.map conf res.rows)))
-  else Ok (res, None)
-
 let to_string ?max_rows res =
   let headers = Schema.column_names res.schema @ [ "lineage" ] in
   let all = res.rows in

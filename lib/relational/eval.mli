@@ -36,15 +36,6 @@ val run_rows_via :
 val run_exn : Database.t -> Algebra.t -> annotated
 (** @raise Failure on evaluation error. *)
 
-val run_conf :
-  Database.t -> Algebra.t -> (annotated * float array option, string) result
-(** [run_conf db plan] evaluates [plan] and, when {!Safe_plan.analyze}
-    proves the plan safe, also returns the per-row confidences
-    (index-aligned with [rows]) computed inline by the linear read-once
-    evaluator — bitwise the values the
-    confidence ladder would produce, at none of its cost.  [None]
-    means the caller must consult the ladder as before. *)
-
 val to_string : ?max_rows:int -> annotated -> string
 (** ASCII rendering including a lineage column; [max_rows] truncates long
     results (default: unlimited). *)

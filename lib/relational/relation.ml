@@ -33,16 +33,6 @@ let insert r tup =
 
 let insert_values r vs = insert r (Tuple.of_list vs)
 
-let insert_all r tups =
-  let r, tids =
-    List.fold_left
-      (fun (r, acc) tup ->
-        let r, tid = insert r tup in
-        (r, tid :: acc))
-      (r, []) tups
-  in
-  (r, List.rev tids)
-
 let of_tuples name schema tups =
   let rows, order, n =
     List.fold_left
@@ -59,22 +49,6 @@ let of_tuples name schema tups =
   { name; schema; next_row = n; rows; order }
 
 let find r tid = Tid.Map.find_opt tid r.rows
-
-(* One pass over the stored rows: each lands in [owner tid]'s bucket with
-   its original id, so per-bucket insertion order is the global insertion
-   order restricted to the bucket.  [tuples] yields ascending insertion
-   order and [order] is kept newest-first, so prepending as we walk
-   rebuilds each bucket's reverse-insertion list directly. *)
-let partition_rows r ~count ~owner =
-  let rows = Array.make count Tid.Map.empty in
-  let order = Array.make count [] in
-  List.iter
-    (fun (tid, tup) ->
-      let i = owner tid in
-      rows.(i) <- Tid.Map.add tid tup rows.(i);
-      order.(i) <- tid :: order.(i))
-    (List.rev_map (fun tid -> (tid, Tid.Map.find tid r.rows)) r.order);
-  Array.init count (fun i -> { r with rows = rows.(i); order = order.(i) })
 
 let tuples r =
   List.rev_map (fun tid -> (tid, Tid.Map.find tid r.rows)) r.order

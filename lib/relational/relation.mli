@@ -26,8 +26,6 @@ val insert : t -> Tuple.t -> t * Lineage.Tid.t
 val insert_values : t -> Value.t list -> t * Lineage.Tid.t
 (** [insert_values r vs] is [insert r (Tuple.of_list vs)]. *)
 
-val insert_all : t -> Tuple.t list -> t * Lineage.Tid.t list
-
 val of_tuples : string -> Schema.t -> Tuple.t list -> t
 (** [of_tuples name schema tups] builds a relation containing [tups] in
     order, with tuple ids [0 .. n-1] — exactly the relation that
@@ -36,13 +34,6 @@ val of_tuples : string -> Schema.t -> Tuple.t list -> t
     @raise Invalid_argument if a tuple does not conform to the schema. *)
 
 val find : t -> Lineage.Tid.t -> Tuple.t option
-
-val partition_rows : t -> count:int -> owner:(Lineage.Tid.t -> int) -> t array
-(** [partition_rows r ~count ~owner] splits [r] into [count] relations in
-    one pass, routing each stored row to index [owner tid].  Every part
-    keeps the name, schema and row ids of [r]; part [i]'s {!tuples} order
-    is the global insertion order restricted to its rows.  The shard
-    router builds its per-shard views with this. *)
 
 val tuples : t -> (Lineage.Tid.t * Tuple.t) list
 (** In insertion order. *)

@@ -267,29 +267,43 @@ let test_vectorizes () =
   Alcotest.(check bool) "declined still identical" true
     (result_ident (Eval.run db2 plan) (Col.run db2 plan))
 
-let test_gate_off () =
-  let db = Db.add_relation Db.empty (R.create "t" (S.of_list [ ("a", V.TInt) ])) in
-  let plan = A.Scan "t" in
-  Unix.putenv "PCQE_COLUMNAR" "0";
-  Alcotest.(check bool) "gate off" false (Col.vectorizes db plan);
-  Alcotest.(check bool) "gate off still identical" true
-    (result_ident (Eval.run db plan) (Col.run db plan));
-  Unix.putenv "PCQE_COLUMNAR" "1";
-  Alcotest.(check bool) "gate back on" true (Col.vectorizes db plan)
-
 let test_scan_cache_epochs () =
   let db = Db.add_relation Db.empty (R.create "t" (S.of_list [ ("a", V.TInt) ])) in
   let db = fst (Db.insert db "t" [ V.Int 1 ] ~conf:0.5) in
+  let conf0 db = (Option.get (Col.scan_batch db "t")).Relational.Colbatch.conf.(0) in
   let b1 = Option.get (Col.scan_batch db "t") in
   Alcotest.(check (float 0.0)) "conf loaded" 0.5 b1.Relational.Colbatch.conf.(0);
   (* confidence mutation: same batch, refreshed confidences *)
   let tid = Lineage.Tid.make "t" 0 in
-  let db = Db.set_confidence db tid 0.8 in
-  let b2 = Option.get (Col.scan_batch db "t") in
+  let db1 = Db.set_confidence db tid 0.8 in
+  let b2 = Option.get (Col.scan_batch db1 "t") in
   Alcotest.(check bool) "batch reused across confidence change" true (b1 == b2);
   Alcotest.(check (float 0.0)) "conf refreshed" 0.8 b2.Relational.Colbatch.conf.(0);
+  (* a sibling copy shares the batch but not the history: it refreshes
+     to its own confidences *)
+  let sibling = Db.set_confidence db tid 0.6 in
+  Alcotest.(check (float 0.0)) "sibling write refreshes" 0.6 (conf0 sibling);
+  Alcotest.(check (float 0.0)) "back to the first copy" 0.8 (conf0 db1);
+  (* two shards: a write that moves only slot 1 still refreshes *)
+  let db2 =
+    List.fold_left
+      (fun db i -> fst (Db.insert db "t" [ V.Int i ] ~conf:0.5))
+      db1 (List.init 8 (fun i -> i + 2))
+  in
+  let db2 = Db.with_shards db2 2 in
+  let on_shard_1 =
+    List.find
+      (fun t -> Db.shard_of ~shards:2 t = 1)
+      (List.init 9 (Lineage.Tid.make "t"))
+  in
+  let b4 = Option.get (Col.scan_batch db2 "t") in
+  let row = on_shard_1.Lineage.Tid.row in
+  let db2' = Db.set_confidence db2 on_shard_1 0.3 in
+  Alcotest.(check (float 0.0)) "shard 1 write refreshes" 0.3
+    (Option.get (Col.scan_batch db2' "t")).Relational.Colbatch.conf.(row);
+  Alcotest.(check bool) "same batch" true (b4 == Option.get (Col.scan_batch db2' "t"));
   (* structural mutation: fresh batch *)
-  let db = fst (Db.insert db "t" [ V.Int 2 ] ~conf:0.1) in
+  let db = fst (Db.insert db1 "t" [ V.Int 2 ] ~conf:0.1) in
   let b3 = Option.get (Col.scan_batch db "t") in
   Alcotest.(check bool) "structural change rebuilds" true (not (b1 == b3));
   Alcotest.(check int) "new row visible" 2 b3.Relational.Colbatch.nrows
@@ -302,7 +316,7 @@ let test_bulk_epochs () =
   Alcotest.(check (float 0.0)) "conf 1" 0.75 (Db.confidence db (Lineage.Tid.make "r" 1));
   (* the single bulk change-log entry stays truthful: both loaded tuples
      appear in the targeted invalidation set for a cache synced before *)
-  (match Db.changed_since db ~since:(Db.confidence_epoch db0) with
+  (match Db.shard_changed_since db ~shard:0 ~since:(Db.confidence_vector db0).(0) with
   | Some set -> Alcotest.(check int) "both tids logged" 2 (Lineage.Tid.Set.cardinal set)
   | None -> Alcotest.fail "changed_since lost the bulk load")
 
@@ -408,7 +422,6 @@ let () =
       ( "directed",
         [
           ("vectorizes + decline", `Quick, test_vectorizes);
-          ("PCQE_COLUMNAR gate", `Quick, test_gate_off);
           ("scan cache epochs", `Quick, test_scan_cache_epochs);
           ("bulk ingest epochs", `Quick, test_bulk_epochs);
           ("bulk ingest chunked", `Quick, test_bulk_large_chunked);

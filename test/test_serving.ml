@@ -23,37 +23,42 @@ let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
 (* ------------------------------------------------------------------ *)
 (* database epochs *)
 
+(* the one slot of an unsharded database's epoch vectors *)
+let structural_epoch db = (Db.structural_vector db).(0)
+let confidence_epoch db = (Db.confidence_vector db).(0)
+let changed_since db ~since = Db.shard_changed_since db ~shard:0 ~since
+
 let test_epoch_split () =
   let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
   let db0 = Db.empty in
   let db1 = Db.add_relation db0 r in
   Alcotest.(check bool) "add_relation bumps structural" true
-    (Db.structural_epoch db1 > Db.structural_epoch db0);
+    (structural_epoch db1 > structural_epoch db0);
   Alcotest.(check int) "add_relation leaves confidence"
-    (Db.confidence_epoch db0) (Db.confidence_epoch db1);
+    (confidence_epoch db0) (confidence_epoch db1);
   let db2, tid = Db.insert db1 "R" [ V.Int 1 ] ~conf:0.5 in
   Alcotest.(check bool) "insert bumps structural" true
-    (Db.structural_epoch db2 > Db.structural_epoch db1);
+    (structural_epoch db2 > structural_epoch db1);
   Alcotest.(check bool) "insert bumps confidence" true
-    (Db.confidence_epoch db2 > Db.confidence_epoch db1);
+    (confidence_epoch db2 > confidence_epoch db1);
   let db3 = Db.set_confidence db2 tid 0.7 in
   Alcotest.(check int) "set_confidence leaves structural"
-    (Db.structural_epoch db2) (Db.structural_epoch db3);
+    (structural_epoch db2) (structural_epoch db3);
   Alcotest.(check bool) "set_confidence bumps confidence" true
-    (Db.confidence_epoch db3 > Db.confidence_epoch db2)
+    (confidence_epoch db3 > confidence_epoch db2)
 
 let test_changed_since () =
   let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
   let db = Db.add_relation Db.empty r in
   let db, t1 = Db.insert db "R" [ V.Int 1 ] ~conf:0.5 in
   let db, t2 = Db.insert db "R" [ V.Int 2 ] ~conf:0.5 in
-  let e0 = Db.confidence_epoch db in
+  let e0 = confidence_epoch db in
   Alcotest.(check bool) "current epoch -> empty set" true
-    (Db.changed_since db ~since:e0 = Some Tid.Set.empty);
+    (changed_since db ~since:e0 = Some Tid.Set.empty);
   let db' = Db.set_confidence db t1 0.6 in
   let db' = Db.set_confidence db' t2 0.7 in
   let db' = Db.set_confidence db' t1 0.8 in
-  (match Db.changed_since db' ~since:e0 with
+  (match changed_since db' ~since:e0 with
   | Some dirty ->
     Alcotest.(check (list string)) "dirty set is exactly {t1, t2}"
       (List.sort compare [ Tid.to_string t1; Tid.to_string t2 ])
@@ -62,13 +67,13 @@ let test_changed_since () =
   (* stamps from a divergent sibling history are rejected *)
   let sibling = Db.set_confidence db t1 0.9 in
   Alcotest.(check bool) "sibling stamp -> None" true
-    (Db.changed_since db' ~since:(Db.confidence_epoch sibling) = None)
+    (changed_since db' ~since:(confidence_epoch sibling) = None)
 
 let test_changed_since_truncation () =
   let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
   let db = Db.add_relation Db.empty r in
   let db, tid = Db.insert db "R" [ V.Int 1 ] ~conf:0.0 in
-  let e0 = Db.confidence_epoch db in
+  let e0 = confidence_epoch db in
   (* push the bounded change log past its capacity: the old stamp must
      answer None (wholesale flush), never a partial dirty set *)
   let db' = ref db in
@@ -76,12 +81,12 @@ let test_changed_since_truncation () =
     db' := Db.set_confidence !db' tid (float_of_int i /. 1000.0)
   done;
   Alcotest.(check bool) "overflowed gap -> None" true
-    (Db.changed_since !db' ~since:e0 = None);
+    (changed_since !db' ~since:e0 = None);
   (* a gap that still fits in the log is answered exactly *)
-  let e_recent = Db.confidence_epoch !db' in
+  let e_recent = confidence_epoch !db' in
   let db'' = Db.set_confidence !db' tid 0.99 in
   Alcotest.(check bool) "recent gap still answered" true
-    (Db.changed_since db'' ~since:e_recent = Some (Tid.Set.singleton tid))
+    (changed_since db'' ~since:e_recent = Some (Tid.Set.singleton tid))
 
 let test_views_epoch () =
   let v0 = Vw.empty in

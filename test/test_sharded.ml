@@ -1,9 +1,9 @@
-(* Sharding transparency: hash-partitioning the database and scattering
-   scan/filter fragments per shard may change *where* rows are evaluated,
-   never what comes back.  Answers, lineage, solver outcomes and error
-   strings must be bit-identical to the unsharded engine at every
-   (shards, jobs) combination, including after an accepted proposal; and
-   per-shard epochs/change logs must keep one shard's mutations from
+(* Sharding transparency: hash-partitioning the database may change
+   which shard owns a tuple, never what comes back.  Answers, lineage,
+   solver outcomes and error strings must be bit-identical to the
+   unsharded engine at every (shards, jobs) combination, including after
+   an accepted proposal; per-shard tuple counts must match the routing;
+   and per-shard epochs/change logs must keep one shard's mutations from
    invalidating another shard's cached confidence classes. *)
 
 module V = Relational.Value
@@ -11,9 +11,8 @@ module S = Relational.Schema
 module R = Relational.Relation
 module Db = Relational.Database
 module A = Relational.Algebra
-module Ex = Relational.Expr
 module Eval = Relational.Eval
-module Sharded = Relational.Sharded
+module Col = Relational.Col_eval
 module Sm = Prng.Splitmix
 module E = Pcqe.Engine
 module F = Lineage.Formula
@@ -21,54 +20,7 @@ module Tid = Lineage.Tid
 
 let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
 
-(* ---------------- evaluator identity (plan level) ---------------- *)
-
-let string_pool = [| "a"; "b"; "ab"; ""; "x"; "yy" |]
-
-let random_db rng =
-  let schema = S.of_list [ ("k", V.TString); ("n", V.TInt); ("x", V.TFloat) ] in
-  let db = Db.add_relation Db.empty (R.create "r" schema) in
-  let nrows = Sm.int_in rng 0 50 in
-  let rec fill db i =
-    if i = 0 then db
-    else
-      let vs =
-        [
-          (if Sm.coin rng 0.1 then V.Null else V.String (Sm.choice rng string_pool));
-          V.Int (Sm.int_in rng (-5) 5);
-          V.Float (Float.of_int (Sm.int_in rng (-4) 4) /. 2.0);
-        ]
-      in
-      fill (fst (Db.insert db "r" vs ~conf:(Sm.float_in rng 0.0 1.0))) (i - 1)
-  in
-  fill db nrows
-
-let cmps = [| Ex.Eq; Ex.Neq; Ex.Lt; Ex.Leq; Ex.Gt; Ex.Geq |]
-
-let random_pred rng =
-  let col = Ex.col (Sm.choice rng [| "k"; "n"; "x" |]) in
-  match Sm.int_in rng 0 4 with
-  | 0 -> Ex.Cmp (Sm.choice rng cmps, col, Ex.Lit (V.Int (Sm.int_in rng (-3) 3)))
-  | 1 -> Ex.Cmp (Sm.choice rng cmps, col, Ex.Lit (V.String (Sm.choice rng string_pool)))
-  | 2 -> Ex.IsNull col
-  | 3 -> Ex.IsNotNull col
-  | _ -> Ex.Like (col, Sm.choice rng [| "a%"; "%b"; "_" |])
-
-(* Selection chains (the scatterable fragment), topped by the operators
-   that must gather first: duplicate-eliminating projection, distinct,
-   limits, renames.  Type-mismatched predicates (Like over ints, string
-   comparisons against numeric columns) exercise error identity. *)
-let random_plan rng =
-  let rec selects plan n =
-    if n = 0 then plan else selects (A.Select (random_pred rng, plan)) (n - 1)
-  in
-  let plan = selects (A.Scan "r") (Sm.int_in rng 0 3) in
-  match Sm.int_in rng 0 4 with
-  | 0 -> plan
-  | 1 -> A.Project ([ "k" ], plan)
-  | 2 -> A.Distinct (A.Project ([ "k"; "n" ], plan))
-  | 3 -> A.Limit (Sm.int_in rng 0 10, plan)
-  | _ -> A.Select (random_pred rng, A.Rename ("t", plan))
+(* ---------------- evaluation identity ---------------- *)
 
 let row_ident (a : Eval.row) (b : Eval.row) =
   Relational.Tuple.compare a.tuple b.tuple = 0 && F.equal a.lineage b.lineage
@@ -81,31 +33,6 @@ let result_ident a b =
     && List.for_all2 row_ident ra.Eval.rows rb.Eval.rows
   | Error ea, Error eb -> String.equal ea eb
   | _ -> false
-
-let qcheck_sharded_run_identity =
-  QCheck.Test.make
-    ~name:"sharded run == row engine at shards 1/2/4 x jobs 1/2/4"
-    ~count:250
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Sm.of_int seed in
-      let db = random_db rng in
-      let plan = random_plan rng in
-      let expected = Eval.run db plan in
-      List.for_all
-        (fun shards ->
-          let db = Db.with_shards db shards in
-          List.for_all
-            (fun jobs ->
-              let got =
-                if jobs = 1 then Sharded.run db plan
-                else
-                  Exec.Pool.with_pool ~jobs (fun pool ->
-                      Sharded.run ~pool db plan)
-              in
-              result_ident expected got)
-            [ 1; 2; 4 ])
-        [ 1; 2; 4 ])
 
 (* ---------------- engine transparency (all four solvers) ------------ *)
 
@@ -267,17 +194,56 @@ let two_shard_fixture () =
   | t0 :: _, t1 :: _ -> (db, t0, t1)
   | _ -> Alcotest.fail "hash sent 16 tuples to one shard"
 
-let test_partition_preserves_order () =
+let test_shard_tuple_counts () =
   let db, _, _ = two_shard_fixture () in
-  let sharded = ok (Sharded.run db (A.Scan "R")) in
-  let unsharded = ok (Eval.run db (A.Scan "R")) in
-  Alcotest.(check bool) "gather order is insertion order" true
-    (List.for_all2 row_ident unsharded.Eval.rows sharded.Eval.rows);
   let tuples = Db.shard_tuples db in
   Alcotest.(check int) "shard tuple counts partition the db" 16
     (Array.fold_left ( + ) 0 tuples);
   Alcotest.(check bool) "both shards own tuples" true
     (tuples.(0) > 0 && tuples.(1) > 0)
+
+(* [shard_tuples] against a recount of every stored tuple by [shard_of] *)
+let counted_by_shard_of db =
+  let shards = Db.shard_count db in
+  let counts = Array.make shards 0 in
+  List.iter
+    (fun name ->
+      R.iter
+        (fun tid _ ->
+          let i = Db.shard_of ~shards tid in
+          counts.(i) <- counts.(i) + 1)
+        (Db.relation_exn db name))
+    (Db.relation_names db);
+  counts
+
+let qcheck_shard_tuples =
+  let schema = S.of_list [ ("n", V.TInt) ] in
+  let rows k = List.init k (fun i -> Relational.Tuple.of_list [ V.Int i ]) in
+  let step rng db =
+    let name = Sm.choice rng [| "R"; "S" |] in
+    let k = Sm.int_in rng 0 12 in
+    match Sm.int_in rng 0 3 with
+    | 0 when Db.mem_relation db name ->
+      fst (Db.insert db name [ V.Int k ] ~conf:0.5)
+    | 0 | 1 -> Db.add_relation db (R.of_tuples name schema (rows k))
+    | 2 ->
+      Db.bulk_load db (R.of_tuples name schema (rows k)) (Array.make k 0.25)
+    | _ -> Db.with_shards db (Sm.choice rng [| 1; 2; 4 |])
+  in
+  QCheck.Test.make ~name:"shard_tuples == count by shard_of" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sm.of_int seed in
+      List.for_all
+        (fun shards ->
+          let rec go db n =
+            n = 0
+            ||
+            let db = step rng db in
+            Db.shard_tuples db = counted_by_shard_of db && go db (n - 1)
+          in
+          go (Db.with_shards Db.empty shards) 30)
+        [ 1; 2; 4 ])
 
 let test_cross_shard_changed_since () =
   let db, t0, t1 = two_shard_fixture () in
@@ -346,7 +312,7 @@ let test_bulk_load_per_shard_logs () =
   (* the sharded bulk load answers identically to the unsharded one *)
   let flat = ok (Relational.Csv.load_string_bulk Db.empty ~name:"r" text) in
   Alcotest.(check bool) "sharded bulk load evaluates identically" true
-    (result_ident (Eval.run flat (A.Scan "r")) (Sharded.run db (A.Scan "r")))
+    (result_ident (Eval.run flat (A.Scan "r")) (Col.run db (A.Scan "r")))
 
 (* ---------------- directed: per-shard cache invalidation ------------ *)
 
@@ -424,13 +390,13 @@ let () =
     [
       ( "identity",
         [
-          qcheck qcheck_sharded_run_identity;
           qcheck qcheck_engine_transparent;
         ] );
       ( "partition",
         [
-          Alcotest.test_case "gather preserves order" `Quick
-            test_partition_preserves_order;
+          Alcotest.test_case "shard tuple counts" `Quick
+            test_shard_tuple_counts;
+          qcheck qcheck_shard_tuples;
           Alcotest.test_case "bulk load routes per shard" `Quick
             test_bulk_load_per_shard_logs;
         ] );
