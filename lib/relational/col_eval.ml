@@ -498,9 +498,6 @@ let cache : (string * int array, centry) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 let cache_capacity = 64
 
-let clear_cache () =
-  Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache)
-
 let cached_batch db r =
   let key = (Relation.name r, Database.structural_vector db) in
   Mutex.protect cache_mutex (fun () ->

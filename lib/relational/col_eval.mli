@@ -64,6 +64,3 @@ val scan_batch : Database.t -> string -> Colbatch.t option
     column current for the database's confidence vector, or
     [None] for unknown/declined relations.  Used by ranking helpers
     (top-K by confidence) and benchmarks. *)
-
-val clear_cache : unit -> unit
-(** Drop all cached scan batches (tests and benchmarks). *)

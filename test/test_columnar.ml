@@ -249,6 +249,20 @@ let qcheck_topk_equals_sort =
       in
       Topk.by_score ~k snd scored = expected)
 
+(* scores from a four-value set, so most of them tie: the heap must keep
+   tied rows in input order, as the stable sort does *)
+let qcheck_topk_ties_equal_sort =
+  QCheck.Test.make ~name:"Topk.by_score == stable sort on tied scores"
+    ~count:500
+    QCheck.(pair (int_range 0 12) (list (int_range 0 3)))
+    (fun (k, xs) ->
+      let scored = List.mapi (fun i x -> (i, float_of_int x /. 4.0)) xs in
+      let expected =
+        List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) scored
+        |> List.filteri (fun i _ -> i < k)
+      in
+      Topk.by_score ~k snd scored = expected)
+
 (* ---------------- directed cases ---------------- *)
 
 let test_vectorizes () =
@@ -418,6 +432,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_decline_on_huge_ints;
           QCheck_alcotest.to_alcotest qcheck_bulk_ingest_identity;
           QCheck_alcotest.to_alcotest qcheck_topk_equals_sort;
+          QCheck_alcotest.to_alcotest qcheck_topk_ties_equal_sort;
         ] );
       ( "directed",
         [

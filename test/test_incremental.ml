@@ -129,6 +129,49 @@ let synth_problem incremental =
 let small_problem incremental =
   Synth.small_instance ~incremental ~seed:7 ()
 
+(* entangled lineage: result [j] is an Or of pairwise Ands over a sliding
+   window of five bases, so every base occurs in several clauses and no
+   formula is read-once *)
+let entangled_problem incremental =
+  let rng = Sm.of_int 11 in
+  let nb = 12 in
+  let bases =
+    List.init nb (fun i ->
+        {
+          Problem.tid = Tid.make "ent" i;
+          p0 = Sm.float_in rng 0.05 0.15;
+          cap = 1.0;
+          cost = C.random rng;
+        })
+  in
+  let tids = Array.of_list (List.map (fun b -> b.Problem.tid) bases) in
+  let formulas =
+    List.init 10 (fun j ->
+        F.disj
+          (List.init 4 (fun i ->
+               F.conj
+                 [ F.var tids.((j + i) mod nb); F.var tids.((j + i + 1) mod nb) ])))
+  in
+  Problem.make_exn ~delta:0.1 ~incremental ~beta:0.6 ~required:4 ~bases
+    ~formulas ()
+
+(* self-join shape: every formula of a synthetic instance four times,
+   which the dedup classes collapse *)
+let duplicated_problem incremental =
+  let p = synth_problem incremental in
+  let formulas =
+    Array.to_list (Problem.results p) |> List.map (fun r -> r.Problem.formula)
+  in
+  Problem.make_exn ~delta:(Problem.delta p) ~incremental ~beta:(Problem.beta p)
+    ~required:(4 * Problem.required p)
+    ~bases:(Array.to_list (Problem.bases p))
+    ~formulas:(List.concat (List.init 4 (fun _ -> formulas)))
+    ()
+
+let entangled_heuristic =
+  Solver.Heuristic
+    { Optimize.Heuristic.default_config with max_nodes = Some 5_000 }
+
 let test_solver_identity () =
   check_solver_identity "greedy" Solver.greedy synth_problem;
   check_solver_identity "divide-and-conquer" Solver.divide_conquer
@@ -139,7 +182,41 @@ let test_solver_identity () =
     synth_problem;
   check_solver_identity "heuristic" Solver.heuristic small_problem;
   check_solver_identity "heuristic-seeded" Solver.heuristic_seeded
-    small_problem
+    small_problem;
+  check_solver_identity "heuristic(entangled)" entangled_heuristic
+    entangled_problem;
+  check_solver_identity "greedy(self-join x4)" Solver.greedy duplicated_problem
+
+(* the caches must pay: on instances where the baseline re-evaluates
+   beyond its initial per-class pass, caches on do strictly fewer full
+   evaluations *)
+let test_fewer_full_evals () =
+  let full_evals algorithm problem =
+    let out = Solver.solve ~algorithm problem in
+    match List.assoc_opt "full_evals" (Solver.stats_fields out.Solver.stats) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "stats carry no full_evals"
+  in
+  List.iter
+    (fun (name, algorithm, make_problem) ->
+      let off_problem = make_problem false in
+      let off = full_evals algorithm off_problem in
+      let on = full_evals algorithm (make_problem true) in
+      Alcotest.(check bool)
+        (name ^ ": baseline re-evaluates") true
+        (off > Problem.num_results off_problem);
+      if on >= off then
+        Alcotest.failf "%s: %d full evals with caches on, %d off" name on off)
+    [
+      ("greedy", Solver.greedy, synth_problem);
+      ("divide-and-conquer", Solver.divide_conquer, synth_problem);
+      ( "annealing",
+        Solver.Annealing
+          { Optimize.Annealing.default_config with iterations = 5_000 },
+        synth_problem );
+      ("heuristic(entangled)", entangled_heuristic, entangled_problem);
+      ("greedy(self-join x4)", Solver.greedy, duplicated_problem);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* dedup classes *)
@@ -224,8 +301,11 @@ let () =
     [
       ("agreement", [ QCheck_alcotest.to_alcotest qcheck_agreement ]);
       ( "solvers",
-        [ Alcotest.test_case "on/off identity" `Quick test_solver_identity ]
-      );
+        [
+          Alcotest.test_case "on/off identity" `Quick test_solver_identity;
+          Alcotest.test_case "caches cut full evals" `Quick
+            test_fewer_full_evals;
+        ] );
       ( "classes",
         [
           Alcotest.test_case "dedup" `Quick test_dedup_classes;

@@ -980,6 +980,47 @@ let test_server_survives_malformed_frames () =
 (* ------------------------------------------------------------------ *)
 (* chaos: armed net.* faults, every request terminal, server correct after *)
 
+(* Without faults, a closed loop of concurrent principals (one client
+   each) gets every request answered: nothing shed, timed out or failed. *)
+let test_server_unfaulted_load_all_answered () =
+  let ctx = build_ctx () in
+  with_server ctx (fun server ->
+      let clients =
+        Array.init 2 (fun i ->
+            Net.Client.create ~seed:(30 + i) (Net.Server.address server))
+      in
+      Fun.protect
+        ~finally:(fun () -> Array.iter Net.Client.close clients)
+        (fun () ->
+          let report =
+            Workload.Load_gen.run
+              {
+                Workload.Load_gen.principals = 2;
+                requests_per_principal = 6;
+                think_ms = 0.0;
+                zipf_s = 1.1;
+                seed = 47;
+              }
+              ~queries
+              ~user_of:(fun i -> Printf.sprintf "u%d" i)
+              ~exec:(fun ~principal ~user ~sql ->
+                match
+                  Net.Client.query clients.(principal) ~user ~purpose:"p"
+                    ~perc:0.6 sql
+                with
+                | Net.Client.Answer a ->
+                  Workload.Load_gen.Answered
+                    { degraded = a.Net.Wire.degraded <> None }
+                | Net.Client.Shed _ -> Workload.Load_gen.Shed
+                | Net.Client.Timed_out _ -> Workload.Load_gen.Timed_out
+                | Net.Client.Accepted _ -> Workload.Load_gen.Failed "accepted?"
+                | Net.Client.Failed m -> Workload.Load_gen.Failed m)
+          in
+          Alcotest.(check int) "every request reached the report" 12
+            report.Workload.Load_gen.total;
+          Alcotest.(check int) "every request answered" 12
+            report.Workload.Load_gen.answered))
+
 let test_server_chaos_all_terminal () =
   let ctx = build_ctx () in
   let config = { Net.Server.default_config with admit = 2; queue = 2 } in
@@ -1132,6 +1173,8 @@ let () =
             test_server_queue_deadline_timeout;
           Alcotest.test_case "survives malformed frames" `Quick
             test_server_survives_malformed_frames;
+          Alcotest.test_case "unfaulted load: all answered" `Quick
+            test_server_unfaulted_load_all_answered;
           Alcotest.test_case "chaos: all requests terminal" `Quick
             test_server_chaos_all_terminal;
         ] );

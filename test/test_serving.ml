@@ -436,6 +436,65 @@ let qcheck_accept_then_batch_transparent =
           (fun c w -> compare (fingerprint c) (fingerprint w) = 0)
           cold warm)
 
+(* one session serving many principals in two roles with different β:
+   plans and lineage classes are shared across principals, answers are
+   not — each principal's warm answer is its own cold one *)
+let test_batch_across_principals () =
+  let ctx, _ = mk_ctx ~confs:(List.init 8 (fun i -> 0.4 +. (0.07 *. float i))) () in
+  let users = List.init 8 (fun i -> Printf.sprintf "p%d" i) in
+  let role i = if i mod 2 = 0 then "analyst" else "auditor" in
+  let assignments = List.mapi (fun i u -> (u, role i)) users in
+  let rbac =
+    let open Rbac.Core_rbac in
+    let m = add_role (add_role empty "analyst") "auditor" in
+    let m =
+      List.fold_left
+        (fun m (u, role) -> ok (assign_user (add_user m u) ~user:u ~role))
+        m assignments
+    in
+    List.fold_left
+      (fun m role ->
+        ok (grant m ~role { action = "select"; resource = "*" }))
+      m [ "analyst"; "auditor" ]
+  in
+  let policies =
+    Rbac.Policy.of_list
+      [
+        Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta:0.6;
+        Rbac.Policy.make ~role:"auditor" ~purpose:"task" ~beta:0.3;
+      ]
+  in
+  let ctx = { ctx with E.rbac; policies } in
+  let requests =
+    List.concat_map
+      (fun user ->
+        List.map
+          (fun sql ->
+            { E.query = Pcqe.Query.sql sql; user; purpose = "task"; perc = 0.5 })
+          [ "SELECT n FROM R"; self_join_sql ])
+      users
+  in
+  let cold = List.map (fun r -> fingerprint (E.answer ctx r)) requests in
+  let session = E.Session.create ctx in
+  let filling = List.map fingerprint (E.Session.batch session requests) in
+  let warm = List.map fingerprint (E.Session.batch session requests) in
+  Alcotest.(check int) "one plan per text, not per principal" 2
+    (stat session "plans.entries");
+  Alcotest.(check bool) "filling round == cold" true (compare cold filling = 0);
+  Alcotest.(check bool) "warm round == cold" true (compare cold warm = 0)
+
+(* every Session.answer lands in the bounded serving.answer_s histogram *)
+let test_answer_latency_histogram () =
+  let ctx, _ = mk_ctx ~confs:[ 0.9; 0.5 ] () in
+  let obs = Obs.deterministic () in
+  let session = E.Session.create { ctx with E.obs = Some obs } in
+  for _ = 1 to 5 do
+    ignore (ok (E.Session.answer session (request ())))
+  done;
+  match Obs.Metrics.histogram obs.Obs.metrics "serving.answer_s" with
+  | Some h -> Alcotest.(check int) "one observation per answer" 5 h.Obs.Metrics.count
+  | None -> Alcotest.fail "serving.answer_s histogram missing"
+
 let () =
   Alcotest.run "serving"
     [
@@ -464,5 +523,9 @@ let () =
             test_strategy_finding_reuses_circuits;
           QCheck_alcotest.to_alcotest qcheck_batch_transparent;
           QCheck_alcotest.to_alcotest qcheck_accept_then_batch_transparent;
+          Alcotest.test_case "batch across principals == cold" `Quick
+            test_batch_across_principals;
+          Alcotest.test_case "answer latency histogram" `Quick
+            test_answer_latency_histogram;
         ] );
     ]

@@ -364,6 +364,86 @@ let test_conf_cache_per_shard_flush () =
   Alcotest.(check int) "re-partition flushes wholesale" 0
     (Pcqe.Conf_cache.length cache)
 
+(* A session warmed over a sharded store takes a flood of accepted
+   raises, all on tuples of one shard and more than that shard's change
+   log holds, so the session must flush that shard's classes wholesale.
+   Its re-answer equals the cold unsharded engine on the flooded data. *)
+let test_session_exact_after_flood () =
+  let r = R.create "R" (S.of_list [ ("k", V.TInt); ("n", V.TInt) ]) in
+  let rows = 48 in
+  let db =
+    List.fold_left
+      (fun db i ->
+        fst
+          (Db.insert db "R"
+             [ V.Int i; V.Int (i * 7 mod rows) ]
+             ~conf:(0.35 +. (0.6 *. float (i * 13 mod rows) /. float rows))))
+      (Db.add_relation Db.empty r) (List.init rows Fun.id)
+  in
+  let policies =
+    Rbac.Policy.of_list
+      [ Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta:0.6 ]
+  in
+  let ctx = E.make_context ~db ~rbac:(mk_rbac ()) ~policies () in
+  (* a self-join: its two-tuple classes are priced through the cache *)
+  let req =
+    {
+      E.query = Pcqe.Query.sql "SELECT X.k FROM R AS X, R AS Y WHERE X.n = Y.k";
+      user = "u";
+      purpose = "task";
+      perc = 0.3;
+    }
+  in
+  let template =
+    match E.answer ctx { req with E.perc = 1.0 } with
+    | Ok { E.proposal = Some p; _ } -> p
+    | _ -> Alcotest.fail "expected a proposal to carry the flood"
+  in
+  (* shard 0 of 4 is shard 0 of 2 and of 1 as well *)
+  let flood =
+    List.filter
+      (fun tid -> Db.shard_of ~shards:4 tid = 0)
+      (List.init rows (Tid.make "R"))
+  in
+  let rounds = 1 + (300 / List.length flood) in
+  let target k = 0.96 +. (0.0001 *. float k) in
+  let flooded =
+    Db.apply_increments db
+      (List.map (fun tid -> (tid, target (rounds - 1))) flood)
+  in
+  let cold = fingerprint (E.answer { ctx with E.db = flooded } req) in
+  List.iter
+    (fun shards ->
+      let session =
+        E.Session.create { ctx with E.db = Db.with_shards db shards }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "warm == cold at %d shards" shards)
+        true
+        (compare
+           (fingerprint (E.answer ctx req))
+           (fingerprint (E.Session.answer session req))
+        = 0);
+      let cv = Db.confidence_vector (E.Session.context session).E.db in
+      for k = 0 to rounds - 1 do
+        E.Session.accept_proposal session
+          {
+            template with
+            E.increments = List.map (fun tid -> (tid, target k)) flood;
+          }
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "flood overflowed shard 0's log at %d shards" shards)
+        true
+        (Db.shard_changed_since (E.Session.context session).E.db ~shard:0
+           ~since:cv.(0)
+        = None);
+      Alcotest.(check bool)
+        (Printf.sprintf "post-flood answer == cold at %d shards" shards)
+        true
+        (compare cold (fingerprint (E.Session.answer session req)) = 0))
+    [ 1; 2; 4 ]
+
 let test_prepared_vector_pinning () =
   let db, t0, _ = two_shard_fixture () in
   let views = Relational.Views.empty in
@@ -413,5 +493,7 @@ let () =
         [
           Alcotest.test_case "per-shard flush" `Quick
             test_conf_cache_per_shard_flush;
+          Alcotest.test_case "session exact after a flood" `Quick
+            test_session_exact_after_flood;
         ] );
     ]
