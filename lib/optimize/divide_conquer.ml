@@ -146,10 +146,9 @@ type group_outcome = {
   g_evals : State.evals;  (** greedy + branch-and-bound sub-solve evals *)
 }
 
-let solve_group config problem parts ~with_metrics ~fork ~now ~deadline gid
-    members =
+let solve_group config problem parts ~with_metrics ~fork ~deadline gid members
+    =
   let metrics = if with_metrics then Some (Obs.Metrics.create ()) else None in
-  let t0 = match now with Some clock -> clock () | None -> 0.0 in
   let group_bids = parts.Partition.group_bases.(gid) in
   (* the whole group solve runs inside one per-task span (recorded into a
      private subtracer, safe on any domain); the spans come back in the
@@ -209,10 +208,6 @@ let solve_group config problem parts ~with_metrics ~fork ~now ~deadline gid
         (g_solution, g_cost, g_heuristic, g_evals))
   in
   let g_solution, g_cost, g_heuristic, g_evals = out in
-  (match (now, metrics) with
-  | Some clock, Some m ->
-    Obs.Metrics.observe m "dnc.group_solve_s" (clock () -. t0)
-  | _ -> ());
   {
     g_cost;
     g_members = members;
@@ -223,7 +218,7 @@ let solve_group config problem parts ~with_metrics ~fork ~now ~deadline gid
     g_evals;
   }
 
-let solve ?(config = default_config) ?metrics ?fork ?pool ?now
+let solve ?(config = default_config) ?metrics ?fork ?pool
     ?(deadline = Resilience.Deadline.never) problem =
   let parts = Partition.partition ~config:config.partition problem in
   let num_groups = Partition.num_groups parts in
@@ -245,7 +240,7 @@ let solve ?(config = default_config) ?metrics ?fork ?pool ?now
     else [||]
   in
   let solve_group gid members =
-    solve_group config problem parts ~with_metrics:(metrics <> None) ~fork ~now
+    solve_group config problem parts ~with_metrics:(metrics <> None) ~fork
       ~deadline:subs.(gid) gid members
   in
   let group_outcomes =

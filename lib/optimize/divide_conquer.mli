@@ -83,7 +83,6 @@ val solve :
   ?metrics:Obs.Metrics.t ->
   ?fork:Obs.task_ctx ->
   ?pool:Exec.Pool.t ->
-  ?now:(unit -> float) ->
   ?deadline:Resilience.Deadline.t ->
   Problem.t ->
   outcome
@@ -105,11 +104,6 @@ val solve :
     group builds its own sub-problem, solver state, and registry, so the
     outcome — solution, cost, stats, and merged metrics — is bit-identical
     to the sequential run at any pool size.
-
-    [now] is a wall clock (e.g. [Unix.gettimeofday]); when given together
-    with [metrics], each group's solve time is observed into a
-    [dnc.group_solve_s] histogram.  It is off by default so that metrics
-    stay deterministic.
 
     [deadline] (default {!Resilience.Deadline.never}) bounds the whole
     solve.  The remaining budget is {!Resilience.Deadline.split} into one

@@ -130,7 +130,7 @@ let resolution_of_stopped = function
   | None -> Complete
   | Some reason -> Partial { reason }
 
-let solve ?(algorithm = divide_conquer) ?obs ?jobs ?pool ?now
+let solve ?(algorithm = divide_conquer) ?obs ?jobs ?pool
     ?(deadline = Resilience.Deadline.never) problem =
   let metrics = Option.map (fun (o : Obs.t) -> o.Obs.metrics) obs in
   let jobs =
@@ -151,7 +151,7 @@ let solve ?(algorithm = divide_conquer) ?obs ?jobs ?pool ?now
              stitched under it after the join *)
           let fork = Obs.fork obs in
           let out =
-            Divide_conquer.solve ~config:cfg ?metrics ?fork ?pool ?now
+            Divide_conquer.solve ~config:cfg ?metrics ?fork ?pool
               ~deadline problem
           in
           Obs.add_attr obs "chunks"

@@ -71,7 +71,6 @@ val solve :
   ?obs:Obs.t ->
   ?jobs:int ->
   ?pool:Exec.Pool.t ->
-  ?now:(unit -> float) ->
   ?deadline:Resilience.Deadline.t ->
   Problem.t ->
   outcome
@@ -92,9 +91,7 @@ val solve :
 
     The outcome is bit-identical at every parallelism level.  The
     parallel phase is recorded as a ["parallel"] span with attributes
-    [jobs] and [chunks] (number of partition groups).  [now] (a wall
-    clock) additionally enables the [dnc.group_solve_s] histogram; see
-    {!Divide_conquer.solve}.
+    [jobs] and [chunks] (number of partition groups).
 
     [deadline] (default {!Resilience.Deadline.never}) makes the solve
     {e anytime}: each algorithm polls the token cooperatively and, on

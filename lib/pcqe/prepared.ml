@@ -52,7 +52,7 @@ let valid t ~db ~views =
   t.structural_vector = Db.structural_vector db
   && t.views_epoch = Relational.Views.epoch views
 
-let eval ?obs ?pool t ~db =
+let eval ?obs t ~db =
   match t.evaluated with
   | Some (vec, res) when vec = Db.structural_vector db ->
     Obs.incr obs "serving.eval_reused";
@@ -61,7 +61,7 @@ let eval ?obs ?pool t ~db =
     (* the hybrid evaluator: vectorizable fragments run columnar, the
        rest falls back to the row engine (bit-identical results on every
        path) *)
-    let* res = Relational.Col_eval.run ?pool db t.plan in
+    let* res = Relational.Col_eval.run db t.plan in
     t.evaluated <- Some (Db.structural_vector db, res);
     Ok res
 
@@ -78,9 +78,9 @@ let row_confs db (res : Relational.Eval.annotated) =
    ([Col_eval.run_conf]); memo hits whose confidence vector moved refresh
    them with one linear read-once pass over the memoized rows. [None]
    confidences mean the caller runs the ladder. *)
-let eval_conf ?obs ?pool t ~db =
+let eval_conf ?obs t ~db =
   if not t.safe then
-    let* res = eval ?obs ?pool t ~db in
+    let* res = eval ?obs t ~db in
     Ok (res, None)
   else
     let sv = Db.structural_vector db and cv = Db.confidence_vector db in
@@ -94,7 +94,7 @@ let eval_conf ?obs ?pool t ~db =
         t.confs <- Some (cv, confs);
         Ok (res, Some confs))
     | _ -> (
-      let* res, confs = Relational.Col_eval.run_conf ?pool db t.plan in
+      let* res, confs = Relational.Col_eval.run_conf db t.plan in
       t.evaluated <- Some (sv, res);
       (* [run_conf] analyses the same plan, so it always prices a safe one *)
       let confs =

@@ -60,7 +60,6 @@ val valid : t -> db:Relational.Database.t -> views:Relational.Views.t -> bool
 
 val eval :
   ?obs:Obs.t ->
-  ?pool:Exec.Pool.t ->
   t ->
   db:Relational.Database.t ->
   (Relational.Eval.annotated, string) result
@@ -68,12 +67,10 @@ val eval :
     ({!Relational.Col_eval}), reusing the cached annotated result when
     the database's structural vector still matches (counted as
     [serving.eval_reused]).  The cache holds one vector: a structural
-    mutation re-evaluates and replaces it.  [pool] parallelizes columnar
-    mask filling; results are independent of the jobs count. *)
+    mutation re-evaluates and replaces it. *)
 
 val eval_conf :
   ?obs:Obs.t ->
-  ?pool:Exec.Pool.t ->
   t ->
   db:Relational.Database.t ->
   (Relational.Eval.annotated * float array option, string) result

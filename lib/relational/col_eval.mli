@@ -2,9 +2,10 @@
 
     The hybrid evaluator: plan subtrees made of vectorizable operators —
     [Scan], [Select] with a compilable predicate, [Project], [Distinct],
-    [Limit], [Rename] — run as column kernels over cached scan batches;
-    everything else (joins, set operations, aggregation, subqueries,
-    ordering) falls back to the row engine through {!Eval.run_rows_via},
+    [Limit], [Rename], and [Limit] over [Order_by] as a top-K — run as
+    column kernels over cached scan batches; everything else (joins, set
+    operations, aggregation, subqueries, ordering without a limit) falls
+    back to the row engine through {!Eval.run_rows_via},
     which evaluates one operator and delegates children back here.  Both
     engines therefore share one set of operator semantics, and results
     are bit-identical by construction plus the compiler's conservatism:
@@ -19,8 +20,11 @@
     - three-valued logic uses byte masks (0 false / 1 true / 2 unknown),
       and selection keeps definitely-true rows only, as in SQL WHERE.
 
-    Mask filling is chunked over an {!Exec.Pool} when one is supplied
-    (disjoint row ranges, so results are independent of the jobs count).
+    A [Select] runs its top-level conjuncts one after another over
+    vectors of rows, each conjunct's kernel reading only the rows the
+    earlier ones kept.  Nothing it allocates is sized by its input: a
+    few vector-sized buffers, and a selection vector of exactly the
+    surviving rows.
 
     Scan batches are cached per relation name, keyed by the database's
     structural vector, in a small process-global table; confidence
@@ -32,23 +36,13 @@ val vectorizes : Database.t -> Algebra.t -> bool
 (** [vectorizes db plan] is [true] when the {e whole} plan compiles to
     column kernels (no row-engine fallback at the root). *)
 
-val run :
-  ?pool:Exec.Pool.t ->
-  Database.t ->
-  Algebra.t ->
-  (Eval.annotated, string) result
-(** Drop-in replacement for {!Eval.run}: same results, same errors.
-    [pool] parallelizes predicate mask filling over row chunks. *)
+val run : Database.t -> Algebra.t -> (Eval.annotated, string) result
+(** Drop-in replacement for {!Eval.run}: same results, same errors. *)
 
-val run_rows :
-  ?pool:Exec.Pool.t ->
-  Database.t ->
-  Algebra.t ->
-  (Eval.row list, string) result
+val run_rows : Database.t -> Algebra.t -> (Eval.row list, string) result
 (** {!run} without the output schema. *)
 
 val run_conf :
-  ?pool:Exec.Pool.t ->
   Database.t ->
   Algebra.t ->
   (Eval.annotated * float array option, string) result

@@ -138,20 +138,54 @@ let refresh_confidences db b =
   | Forms _ -> ()
   | Tids tids -> Database.fill_confidences db tids b.conf
 
-let filter b mask =
-  let n = length b in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.unsafe_get mask i = '\001' then incr kept
-  done;
-  let sel = Array.make !kept 0 in
+let vector = 1024
+
+(* A mask byte's low bit is 1 for true, 0 for false and unknown.  Every
+   row is written at the next free slot, which only a kept row advances,
+   so nothing branches on the mask. *)
+let compact (ps : int array) mask c =
   let j = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.unsafe_get mask i = '\001' then begin
-      sel.(!j) <- phys b i;
-      incr j
-    end
+  for i = 0 to c - 1 do
+    Array.unsafe_set ps !j (Array.unsafe_get ps i);
+    j := !j + (Char.code (Bytes.unsafe_get mask i) land 1)
   done;
+  !j
+
+(* Survivors accumulate in a buffer that doubles as needed, so nothing
+   here is sized by the batch; the selection vector is trimmed to
+   exactly the surviving rows at the end. *)
+let filter b keep =
+  let n = length b in
+  let ps = Array.make (min n vector) 0 in
+  let kept = ref (Array.make (min n vector) 0) and total = ref 0 in
+  let lo = ref 0 in
+  while !lo < n do
+    let len = min vector (n - !lo) in
+    (match b.sel with
+    | Some s ->
+      for i = 0 to len - 1 do
+        Array.unsafe_set ps i (Array.unsafe_get s (!lo + i))
+      done
+    | None ->
+      for i = 0 to len - 1 do
+        Array.unsafe_set ps i (!lo + i)
+      done);
+    let c = keep ps len in
+    if !total + c > Array.length !kept then begin
+      let grown = Array.make (max (2 * Array.length !kept) (!total + c)) 0 in
+      Array.blit !kept 0 grown 0 !total;
+      kept := grown
+    end;
+    let dst = !kept in
+    for i = 0 to c - 1 do
+      Array.unsafe_set dst (!total + i) (Array.unsafe_get ps i)
+    done;
+    total := !total + c;
+    lo := !lo + len
+  done;
+  let sel =
+    if !total = Array.length !kept then !kept else Array.sub !kept 0 !total
+  in
   { b with sel = Some sel }
 
 let project b schema idx =
@@ -181,6 +215,19 @@ let value b c p =
       else Value.Float f
     | BCol bs -> if Bytes.unsafe_get bs p = '\001' then vtrue else vfalse
     | SCol { codes; boxed; _ } -> boxed.(codes.(p))
+
+let top_k b keys k =
+  let cmp i j =
+    let p = phys b i and q = phys b j in
+    let rec go = function
+      | [] -> 0
+      | (c, desc) :: rest ->
+        let x = Value.compare (value b c p) (value b c q) in
+        if x = 0 then go rest else if desc then -x else x
+    in
+    go keys
+  in
+  { b with sel = Some (Array.map (phys b) (Topk.indices ~k (length b) cmp)) }
 
 (* [Value.hash] of the cell at physical row [p] of column [c] — must match
    what [Tuple.hash] computes on the materialized row. *)

@@ -68,10 +68,25 @@ val phys : t -> int -> int
 val lineage : t -> int -> Lineage.Formula.t
 (** Lineage formula of logical row [i]. *)
 
-val filter : t -> Bytes.t -> t
-(** [filter b mask] keeps the logical rows whose mask byte is [1]
-    (three-valued predicate: 0 false, 1 true, 2 unknown) by narrowing
-    the selection vector; column data is shared, not copied. *)
+val max_exact_int : int
+(** 2{^53}: {!of_relation} declines an int cell of larger magnitude. *)
+
+val vector : int
+(** Rows per vector: {!filter} hands its predicate at most this many
+    rows at a time. *)
+
+val compact : int array -> Bytes.t -> int -> int
+(** [compact ps mask c] moves the rows [ps.(i)], [i < c], whose mask byte
+    is [1] (three-valued: 0 false, 1 true, 2 unknown) to the front of
+    [ps], in order and without a branch on the mask, and returns how many
+    there are. *)
+
+val filter : t -> (int array -> int -> int) -> t
+(** [filter b keep] narrows the selection vector to the rows [keep]
+    retains.  [b]'s logical rows go to [keep ps c] in order, as vectors
+    of [c <= vector] physical rows; [keep] moves the ones it retains to
+    the front of [ps] and returns how many.  The new selection vector
+    holds exactly the retained rows; column data is shared, not copied. *)
 
 val project : t -> Schema.t -> int array -> t
 (** [project b schema' idx] remaps columns (shared buffers, no copy);
@@ -86,6 +101,12 @@ val dedup : t -> t
 
 val limit : t -> int -> t
 (** First [n] logical rows. *)
+
+val top_k : t -> (int * bool) list -> int -> t
+(** [top_k b keys k] is the first [k] logical rows of [b] stably sorted
+    by [keys] (column index, [true] for descending), comparing cells with
+    {!Value.compare} as the row engine's [ORDER BY] does: a selection
+    vector of at most [k] rows, chosen by {!Topk.indices}. *)
 
 val with_schema : t -> Schema.t -> t
 (** Replace the schema (RENAME changes names only, never data). *)

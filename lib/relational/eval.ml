@@ -55,11 +55,6 @@ let find_lineage rows tup =
       else acc)
     None rows
 
-let eval_pred schema pred row =
-  match Expr.eval_pred schema row.tuple pred with
-  | Ok b -> Ok b
-  | Error msg -> Error ("predicate error: " ^ msg)
-
 let numeric_of_value = function
   | Value.Int i -> Some (float_of_int i)
   | Value.Float f -> Some f
@@ -170,11 +165,13 @@ and run_rows_via recurse db plan =
   | Algebra.Select (pred, p) ->
     let* schema = Algebra.output_schema db p in
     let* rows = run_rows db p in
+    let test = Expr.bind_pred schema pred in
     List.fold_left
       (fun acc row ->
         let* kept = acc in
-        let* b = eval_pred schema pred row in
-        Ok (if b then row :: kept else kept))
+        match test row.tuple with
+        | Ok b -> Ok (if b then row :: kept else kept)
+        | Error msg -> Error ("predicate error: " ^ msg))
       (Ok []) rows
     |> Result.map List.rev
   | Algebra.Select_sub (cond, p) ->
@@ -313,6 +310,7 @@ and run_rows_via recurse db plan =
         ra;
       Ok (List.rev !out)
     | None ->
+      let test = Option.map (Expr.bind_pred s) pred in
       let out = ref [] in
       let err = ref None in
       List.iter
@@ -322,10 +320,10 @@ and run_rows_via recurse db plan =
               if !err = None then begin
                 let tuple = Tuple.append rowa.tuple rowb.tuple in
                 let lineage = Formula.conj [ rowa.lineage; rowb.lineage ] in
-                match pred with
+                match test with
                 | None -> out := { tuple; lineage } :: !out
-                | Some e -> (
-                  match Expr.eval_pred s tuple e with
+                | Some test -> (
+                  match test tuple with
                   | Ok true -> out := { tuple; lineage } :: !out
                   | Ok false -> ()
                   | Error msg -> err := Some ("join predicate error: " ^ msg))
@@ -344,6 +342,7 @@ and run_rows_via recurse db plan =
     let* ra = run_rows db a in
     let* rb = run_rows db b in
     let nulls = Tuple.make (Array.make (Schema.arity sb) Value.Null) in
+    let test = Expr.bind_pred s pred in
     let out = ref [] in
     let err = ref None in
     List.iter
@@ -355,7 +354,7 @@ and run_rows_via recurse db plan =
             (fun rowb ->
               if !err = None then begin
                 let tuple = Tuple.append rowa.tuple rowb.tuple in
-                match Expr.eval_pred s tuple pred with
+                match test tuple with
                 | Ok true -> matches := rowb :: !matches
                 | Ok false -> ()
                 | Error msg -> err := Some ("join predicate error: " ^ msg)

@@ -128,72 +128,111 @@ let bool3_of_value what = function
   | v ->
     Error (Printf.sprintf "%s: expected boolean, got %s" what (Value.to_string v))
 
-let rec eval schema tup e =
+(* Column names are resolved once, when the expression is bound to a
+   schema; a name that does not resolve fails on the first row
+   evaluated, with the same message, and never on an empty input. *)
+let rec bind schema e : Tuple.t -> (Value.t, string) result =
   match e with
   | Col name -> (
     match Schema.find_index schema name with
-    | Ok i -> Ok (Tuple.get tup i)
-    | Error (Schema.Not_found_col n) -> Error (Printf.sprintf "unknown column %S" n)
-    | Error (Schema.Ambiguous (n, cands)) ->
-      Error
-        (Printf.sprintf "ambiguous column %S (matches %s)" n
-           (String.concat ", " cands)))
-  | Lit v -> Ok v
+    | Ok i -> fun tup -> Ok (Tuple.get tup i)
+    | Error err ->
+      let err =
+        Error
+          (match err with
+          | Schema.Not_found_col n -> Printf.sprintf "unknown column %S" n
+          | Schema.Ambiguous (n, cands) ->
+            Printf.sprintf "ambiguous column %S (matches %s)" n
+              (String.concat ", " cands))
+      in
+      fun _ -> err)
+  | Lit v ->
+    let v = Ok v in
+    fun _ -> v
   | Cmp (op, a, b) ->
-    let* va = eval schema tup a in
-    let* vb = eval schema tup b in
-    if is_null va || is_null vb then Ok Value.Null
-    else (
-      try Ok (value_of_bool3 (cmp_to_bool3 op (Value.cmp_sql va vb)))
-      with Invalid_argument msg -> Error msg)
+    let fa = bind schema a and fb = bind schema b in
+    fun tup ->
+      let* va = fa tup in
+      let* vb = fb tup in
+      if is_null va || is_null vb then Ok Value.Null
+      else (
+        try Ok (value_of_bool3 (cmp_to_bool3 op (Value.cmp_sql va vb)))
+        with Invalid_argument msg -> Error msg)
   | Arith (op, a, b) ->
-    let* va = eval schema tup a in
-    let* vb = eval schema tup b in
-    eval_arith op va vb
+    let fa = bind schema a and fb = bind schema b in
+    fun tup ->
+      let* va = fa tup in
+      let* vb = fb tup in
+      eval_arith op va vb
   | Neg a -> (
-    let* va = eval schema tup a in
-    match va with
-    | Value.Null -> Ok Value.Null
-    | Value.Int i -> Ok (Value.Int (-i))
-    | Value.Float f -> Ok (Value.Float (-.f))
-    | v -> Error (Printf.sprintf "negation: expected number, got %s" (Value.to_string v)))
+    let fa = bind schema a in
+    fun tup ->
+      let* va = fa tup in
+      match va with
+      | Value.Null -> Ok Value.Null
+      | Value.Int i -> Ok (Value.Int (-i))
+      | Value.Float f -> Ok (Value.Float (-.f))
+      | v ->
+        Error
+          (Printf.sprintf "negation: expected number, got %s" (Value.to_string v)))
   | And (a, b) ->
-    let* ba = eval_bool3 schema tup a in
-    let* bb = eval_bool3 schema tup b in
-    Ok (value_of_bool3 (Value.and3 ba bb))
+    let fa = bind_bool3 schema a and fb = bind_bool3 schema b in
+    fun tup ->
+      let* ba = fa tup in
+      let* bb = fb tup in
+      Ok (value_of_bool3 (Value.and3 ba bb))
   | Or (a, b) ->
-    let* ba = eval_bool3 schema tup a in
-    let* bb = eval_bool3 schema tup b in
-    Ok (value_of_bool3 (Value.or3 ba bb))
+    let fa = bind_bool3 schema a and fb = bind_bool3 schema b in
+    fun tup ->
+      let* ba = fa tup in
+      let* bb = fb tup in
+      Ok (value_of_bool3 (Value.or3 ba bb))
   | Not a ->
-    let* ba = eval_bool3 schema tup a in
-    Ok (value_of_bool3 (Value.not3 ba))
+    let fa = bind_bool3 schema a in
+    fun tup ->
+      let* ba = fa tup in
+      Ok (value_of_bool3 (Value.not3 ba))
   | IsNull a ->
-    let* va = eval schema tup a in
-    Ok (Value.Bool (is_null va))
+    let fa = bind schema a in
+    fun tup ->
+      let* va = fa tup in
+      Ok (Value.Bool (is_null va))
   | IsNotNull a ->
-    let* va = eval schema tup a in
-    Ok (Value.Bool (not (is_null va)))
+    let fa = bind schema a in
+    fun tup ->
+      let* va = fa tup in
+      Ok (Value.Bool (not (is_null va)))
   | Like (a, pattern) -> (
-    let* va = eval schema tup a in
-    match va with
-    | Value.Null -> Ok Value.Null
-    | Value.String s -> Ok (Value.Bool (like_match ~pattern s))
-    | v -> Error (Printf.sprintf "LIKE: expected string, got %s" (Value.to_string v)))
+    let fa = bind schema a in
+    fun tup ->
+      let* va = fa tup in
+      match va with
+      | Value.Null -> Ok Value.Null
+      | Value.String s -> Ok (Value.Bool (like_match ~pattern s))
+      | v ->
+        Error (Printf.sprintf "LIKE: expected string, got %s" (Value.to_string v)))
   | In (a, vs) ->
-    let* va = eval schema tup a in
-    if is_null va then Ok Value.Null
-    else Ok (Value.Bool (List.exists (Value.equal va) vs))
-  | Between (a, lo, hi) ->
-    eval schema tup (And (Cmp (Geq, a, lo), Cmp (Leq, a, hi)))
+    let fa = bind schema a in
+    fun tup ->
+      let* va = fa tup in
+      if is_null va then Ok Value.Null
+      else Ok (Value.Bool (List.exists (Value.equal va) vs))
+  | Between (a, lo, hi) -> bind schema (And (Cmp (Geq, a, lo), Cmp (Leq, a, hi)))
 
-and eval_bool3 schema tup e =
-  let* v = eval schema tup e in
-  bool3_of_value "predicate" v
+and bind_bool3 schema e =
+  let f = bind schema e in
+  fun tup ->
+    let* v = f tup in
+    bool3_of_value "predicate" v
 
-let eval_pred schema tup e =
-  let* b3 = eval_bool3 schema tup e in
-  Ok (Value.is_true b3)
+let bind_pred schema e =
+  let f = bind_bool3 schema e in
+  fun tup ->
+    let* b3 = f tup in
+    Ok (Value.is_true b3)
+
+let eval schema tup e = bind schema e tup
+let eval_pred schema tup e = bind_pred schema e tup
 
 let cmp_str = function
   | Eq -> "="

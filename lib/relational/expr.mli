@@ -54,6 +54,12 @@ val eval_pred : Schema.t -> Tuple.t -> t -> (bool, string) result
 (** [eval_pred schema tup e] evaluates [e] as a predicate under
     three-valued logic; unknown collapses to [false] (WHERE semantics). *)
 
+val bind_pred : Schema.t -> t -> Tuple.t -> (bool, string) result
+(** [bind_pred schema e] resolves [e]'s column names once and returns
+    its predicate: [bind_pred schema e tup = eval_pred schema tup e] for
+    every row, errors included — a column that does not resolve fails on
+    each row evaluated, never at binding. *)
+
 val like_match : pattern:string -> string -> bool
 (** SQL LIKE matching ([%] = any run, [_] = any single char), exposed for
     tests. *)

@@ -5,7 +5,13 @@
     elements — equal scores preserve input order — but runs in
     O(n log k) time and O(k) space instead of sorting all [n].  The
     engine uses it wherever result rows are ranked by confidence
-    (lineage witnesses, the CLI's [--top], the columnar bench panel). *)
+    (lineage witnesses, the CLI's [--top]), and the columnar engine for
+    [LIMIT] over [ORDER BY] ({!indices}). *)
+
+val indices : k:int -> int -> (int -> int -> int) -> int array
+(** [indices ~k n cmp] is the first [k] of [0 .. n - 1] stably sorted by
+    [cmp] (ties keep the lower index first), in sorted order: at most [k]
+    indices, in O(n log k) time and O(k) space. *)
 
 val by_score : k:int -> ('a -> float) -> 'a list -> 'a list
 (** [by_score ~k score xs] is the [k] highest-scoring elements of [xs]

@@ -1,8 +1,8 @@
 (* Columnar engine identity: for random schemas, data, confidences and
    scan/filter/project pipelines, the vectorized evaluator must produce
    results bit-identical to the row engine — same tuples (constructors
-   included), same order, structurally identical lineage — at every jobs
-   level, and the same errors when evaluation fails.  Parallel bulk CSV
+   included), same order, structurally identical lineage — and the same
+   errors when evaluation fails.  Parallel bulk CSV
    ingest must likewise be indistinguishable from the sequential loader. *)
 
 module V = Relational.Value
@@ -94,6 +94,16 @@ let rec random_pred rng schema depth =
     | 1 -> Ex.Or (random_pred rng schema (depth - 1), random_pred rng schema (depth - 1))
     | _ -> Ex.Not (random_pred rng schema (depth - 1))
 
+(* ORDER BY keys, now and then naming an unknown column (the row
+   engine's error) *)
+let random_keys rng schema =
+  List.init (Sm.int_in rng 1 2) (fun _ ->
+      let c =
+        if Sm.coin rng 0.05 then "nope"
+        else Sm.choice rng (Array.of_list (S.column_names schema))
+      in
+      (c, if Sm.bool rng then A.Asc else A.Desc))
+
 let random_plan rng schema =
   let rec wrap plan schema n =
     if n = 0 then plan
@@ -112,7 +122,9 @@ let random_plan rng schema =
           in
           (A.Project (keep, plan), schema')
         | 2 -> (A.Distinct plan, schema)
-        | 3 -> (A.Limit (Sm.int_in rng 0 20, plan), schema)
+        | 3 ->
+          if Sm.bool rng then (A.Limit (Sm.int_in rng 0 20, plan), schema)
+          else (A.Limit (Sm.int_in rng 0 20, A.Order_by (random_keys rng schema, plan)), schema)
         | _ -> (A.Rename ("t", plan), S.qualify "t" schema)
       in
       wrap plan schema (n - 1)
@@ -151,22 +163,101 @@ let result_ident a b =
 (* ---------------- properties ---------------- *)
 
 let qcheck_pipeline_identity =
-  QCheck.Test.make ~name:"columnar == row engine at jobs 1/2/4" ~count:400
+  QCheck.Test.make ~name:"columnar == row engine" ~count:400
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Sm.of_int seed in
       let db, schema = random_db rng ~huge:(Sm.coin rng 0.15) in
       let plan = random_plan rng schema in
-      let expected = Eval.run db plan in
-      List.for_all
-        (fun jobs ->
-          let got =
-            if jobs = 1 then Col.run db plan
-            else
-              Exec.Pool.with_pool ~jobs (fun pool -> Col.run ~pool db plan)
-          in
-          result_ident expected got)
-        [ 1; 2; 4 ])
+      result_ident (Eval.run db plan) (Col.run db plan))
+
+(* ---------------- large batches ---------------- *)
+
+(* Relations of 20K+ rows run many vectors through every kernel, long
+   selection vectors through nested selects, and top-K over thousands of
+   candidates.  Values cluster so ORDER BY keys tie, real columns mix Int
+   and Float cells (ints up to 2^53 in magnitude, NaN), and literals sit
+   on both sides of 2^53. *)
+let big = 1 lsl 53
+
+let large_value rng (ty : V.ty) =
+  if Sm.coin rng 0.1 then V.Null
+  else
+    match ty with
+    | V.TInt ->
+      if Sm.coin rng 0.02 then V.Int (Sm.choice rng [| big; -big; big - 1 |])
+      else V.Int (Sm.int_in rng (-30) 30)
+    | V.TFloat -> (
+      match Sm.int_in rng 0 9 with
+      | 0 -> V.Int (Sm.choice rng [| big; -big; big - 1; 1 - big |])
+      | 1 | 2 | 3 -> V.Int (Sm.int_in rng (-10) 10)
+      | 4 -> V.Float (Sm.choice rng [| Float.of_int big; Float.nan; -0.0 |])
+      | _ -> V.Float (Float.of_int (Sm.int_in rng (-20) 20) /. 2.0))
+    | V.TBool -> V.Bool (Sm.bool rng)
+    | V.TString -> V.String (Sm.choice rng string_pool)
+
+let large_schema =
+  S.of_list [ ("i", V.TInt); ("x", V.TFloat); ("b", V.TBool); ("s", V.TString) ]
+
+let large_db rng =
+  let n = Sm.int_in rng 20_000 24_000 in
+  let tuples =
+    List.init n (fun _ ->
+        Relational.Tuple.of_list
+          (List.map (fun c -> large_value rng c.S.cty) (S.columns large_schema)))
+  in
+  let r = R.of_tuples "r" large_schema tuples in
+  Db.bulk_load Db.empty r (Array.init n (fun _ -> Sm.float_in rng 0.0 1.0))
+
+let large_lit rng =
+  match Sm.int_in rng 0 5 with
+  | 0 -> V.Int (Sm.choice rng [| big; -big; big + 1; -big - 1; big - 1 |])
+  | 1 -> V.Float (Sm.choice rng [| Float.of_int big; -0.0; 2.5; Float.nan |])
+  | _ -> V.Int (Sm.int_in rng (-12) 12)
+
+let rec large_pred rng depth =
+  let num () = Ex.col (Sm.choice rng [| "i"; "x" |]) in
+  let leaf () =
+    match Sm.int_in rng 0 6 with
+    | 0 | 1 -> Ex.Cmp (Sm.choice rng cmps, num (), Ex.Lit (large_lit rng))
+    | 2 -> Ex.Cmp (Sm.choice rng cmps, Ex.Lit (large_lit rng), num ())
+    | 3 -> Ex.Cmp (Sm.choice rng cmps, num (), num ())
+    | 4 -> Ex.In (num (), List.init (Sm.int_in rng 1 4) (fun _ -> large_lit rng))
+    | 5 -> if Sm.bool rng then Ex.IsNull (num ()) else Ex.col "b"
+    | _ -> Ex.Between (num (), Ex.Lit (large_lit rng), Ex.Lit (large_lit rng))
+  in
+  if depth = 0 then leaf ()
+  else
+    let sub () = large_pred rng (depth - 1) in
+    match Sm.int_in rng 0 4 with
+    | 0 -> Ex.Not (Ex.And (sub (), sub ()))
+    | 1 -> Ex.Or (Ex.And (sub (), sub ()), sub ())
+    | 2 | 3 -> Ex.And (sub (), sub ())
+    | _ -> leaf ()
+
+let qcheck_large_identity =
+  QCheck.Test.make ~name:"columnar == row engine on 20K-row batches" ~count:6
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sm.of_int seed in
+      let db = large_db rng in
+      let scan = A.Scan "r" in
+      let nested = A.Select (large_pred rng 2, A.Select (large_pred rng 2, scan)) in
+      let keys = [ ("i", A.Desc); ("x", A.Asc) ] in
+      let plans =
+        [
+          A.Select (large_pred rng 3, scan);
+          nested;
+          A.Limit (Sm.int_in rng 0 50, A.Order_by (keys, nested));
+          A.Limit (Sm.int_in rng 0 50, A.Order_by ([ ("x", A.Desc) ], scan));
+          A.Limit (30, A.Order_by ([ ("s", A.Asc) ], A.Project ([ "s"; "i" ], nested)));
+        ]
+      in
+      (* the unfiltered top-K always runs columnar *)
+      Col.vectorizes db (List.nth plans 3)
+      && List.for_all
+           (fun plan -> result_ident (Eval.run db plan) (Col.run db plan))
+           plans)
 
 let qcheck_decline_on_huge_ints =
   QCheck.Test.make ~name:"ints beyond 2^53 decline but stay identical"
@@ -181,10 +272,14 @@ let qcheck_decline_on_huge_ints =
 
 (* ---------------- bulk ingest identity ---------------- *)
 
+(* One document in three is above [load_string_bulk]'s 64 KiB chunking
+   threshold, so the jobs 2 and 4 arms really parse several chunks. *)
 let random_csv rng =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "s:string,n:int,x:real,__confidence:real\n";
-  let nrows = Sm.int_in rng 0 60 in
+  let nrows =
+    if Sm.coin rng 0.33 then Sm.int_in rng 3_500 4_000 else Sm.int_in rng 0 60
+  in
   let bad = Sm.coin rng 0.2 in
   let bad_at = if bad then Sm.int_in rng 0 (max 0 (nrows - 1)) else -1 in
   for i = 0 to nrows - 1 do
@@ -336,7 +431,8 @@ let test_bulk_epochs () =
 
 (* Big enough to cross the bulk chunking threshold, with blank lines
    sprinkled in, so the chunk realignment and prefix-sum numbering run for
-   real (jobs comes from PCQE_JOBS=2 in the test environment). *)
+   real.  Jobs are explicit (an explicit request is clamped to the host's
+   cores, so a one-core host parses a single chunk). *)
 let test_bulk_large_chunked () =
   let buf = Buffer.create (1 lsl 18) in
   Buffer.add_string buf "s:string,n:int,__confidence:real\n";
@@ -350,9 +446,16 @@ let test_bulk_large_chunked () =
   Alcotest.(check bool) "text crosses chunk threshold" true
     (String.length text >= 1 lsl 16);
   let seq = ok (Relational.Csv.load_into Db.empty ~name:"big" text) in
-  let bulk = ok (Relational.Csv.load_string_bulk Db.empty ~name:"big" text) in
-  Alcotest.(check bool) "large bulk identical" true
-    (relation_ident seq bulk "big");
+  List.iter
+    (fun jobs ->
+      let bulk =
+        ok (Relational.Csv.load_string_bulk Db.empty ~name:"big" ~jobs text)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "large bulk identical at jobs %d" jobs)
+        true
+        (relation_ident seq bulk "big"))
+    [ 2; 4 ];
   (* error reporting: corrupt one record mid-file, expect the sequential
      error message verbatim (line numbers skip blank lines) *)
   let corrupt =
@@ -368,11 +471,56 @@ let test_bulk_large_chunked () =
     | Ok _ -> Alcotest.fail "sequential load accepted corrupt input"
   in
   let e2 =
-    match Relational.Csv.load_string_bulk Db.empty ~name:"big" corrupt with
+    match Relational.Csv.load_string_bulk Db.empty ~name:"big" ~jobs:2 corrupt with
     | Error e -> e
     | Ok _ -> Alcotest.fail "bulk load accepted corrupt input"
   in
   Alcotest.(check string) "bulk error identical" e1 e2
+
+(* Every comparison and IN list around 2^53, on an int column and on a
+   real column holding both Int and Float cells at the edge: the kernels
+   must agree with the row engine, including where a real column cannot
+   represent the literal (there the predicate stays on the row engine). *)
+let test_exact_edges () =
+  let schema = S.of_list [ ("i", V.TInt); ("x", V.TFloat) ] in
+  let cells =
+    [ V.Int big; V.Int (-big); V.Int (big - 1); V.Float (Float.of_int big);
+      V.Float (-.Float.of_int big); V.Int 0; V.Null ]
+  in
+  let tuples =
+    List.concat_map
+      (fun x ->
+        List.map
+          (fun i -> Relational.Tuple.of_list [ i; x ])
+          [ V.Int big; V.Int (-big); V.Int (big - 1); V.Int 0; V.Null ])
+      cells
+  in
+  let r = R.of_tuples "r" schema tuples in
+  let db = Db.bulk_load Db.empty r (Array.make (List.length tuples) 0.5) in
+  let lits =
+    [ V.Int (big - 1); V.Int big; V.Int (big + 1); V.Int (-big - 1);
+      V.Float (Float.of_int big); V.Float (Float.of_int (big - 1)) ]
+  in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun lit ->
+          let preds =
+            Ex.In (Ex.col c, [ lit; V.Int 0 ])
+            :: List.map (fun op -> Ex.Cmp (op, Ex.col c, Ex.Lit lit)) (Array.to_list cmps)
+          in
+          List.iter
+            (fun pred ->
+              let plan = A.Select (pred, A.Scan "r") in
+              let fits = match lit with V.Int k -> abs k <= big | _ -> true in
+              if c = "i" || fits then
+                Alcotest.(check bool)
+                  (Ex.to_string pred ^ " vectorizes") true (Col.vectorizes db plan);
+              Alcotest.(check bool) (Ex.to_string pred) true
+                (result_ident (Eval.run db plan) (Col.run db plan)))
+            preds)
+        lits)
+    [ "i"; "x" ]
 
 (* Projection onto a single no-null string column takes the dictionary
    dedup fast path (group by code, lineage built as a direct Or of Vars);
@@ -429,6 +577,7 @@ let () =
       ( "identity",
         [
           QCheck_alcotest.to_alcotest qcheck_pipeline_identity;
+          QCheck_alcotest.to_alcotest qcheck_large_identity;
           QCheck_alcotest.to_alcotest qcheck_decline_on_huge_ints;
           QCheck_alcotest.to_alcotest qcheck_bulk_ingest_identity;
           QCheck_alcotest.to_alcotest qcheck_topk_equals_sort;
@@ -441,5 +590,6 @@ let () =
           ("bulk ingest epochs", `Quick, test_bulk_epochs);
           ("bulk ingest chunked", `Quick, test_bulk_large_chunked);
           ("dict dedup fast path", `Quick, test_dedup_dict_fast_path);
+          ("comparisons around 2^53", `Quick, test_exact_edges);
         ] );
     ]

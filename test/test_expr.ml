@@ -110,6 +110,43 @@ let test_errors () =
   | Error _ -> () (* int is not a predicate *)
   | Ok _ -> Alcotest.fail "expected predicate type error"
 
+(* [bind_pred] resolves names once, but an unresolved name is still an
+   error of each row evaluated, never of binding: the row engine reports
+   it only for a non-empty input, with the text the per-row resolution
+   gave. *)
+let test_bound_once () =
+  let check_err what expect = function
+    | Error msg -> Alcotest.(check string) what expect msg
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+  in
+  let unknown = E.bind_pred schema E.(col "zz" >% int 1) in
+  check_err "unknown column" "unknown column \"zz\"" (unknown tup);
+  let qualified =
+    S.of_list [ ("r.a", V.TInt); ("t.a", V.TInt) ]
+  in
+  check_err "ambiguous column" "ambiguous column \"a\" (matches r.a, t.a)"
+    (E.bind_pred qualified (E.col "a") (T.of_list [ V.Int 1; V.Int 2 ]));
+  let module R = Relational.Relation in
+  let module Db = Relational.Database in
+  let module A = Relational.Algebra in
+  let db = Db.add_relation Db.empty (R.create "r" (S.of_list [ ("a", V.TInt) ])) in
+  let bad = A.Select (E.(col "zz" >% int 1), A.Scan "r") in
+  let join = A.Join (Some E.(col "zz" =% int 1), A.Scan "r", A.Rename ("t", A.Scan "r")) in
+  (* [run_rows]: [run] checks the root's column references first *)
+  let rows = function
+    | Ok rows -> List.length rows
+    | Error msg -> Alcotest.failf "unexpected error: %s" msg
+  in
+  Alcotest.(check int) "empty input: no error" 0
+    (rows (Relational.Eval.run_rows db bad));
+  Alcotest.(check int) "empty join: no error" 0
+    (rows (Relational.Eval.run_rows db join));
+  let db, _ = Db.insert db "r" [ V.Int 3 ] ~conf:0.5 in
+  check_err "select" "predicate error: unknown column \"zz\""
+    (Relational.Eval.run_rows db bad);
+  check_err "join" "join predicate error: unknown column \"zz\""
+    (Relational.Eval.run_rows db join)
+
 let test_columns_listing () =
   let e = E.(And (col "a" =% col "b", Like (col "s", "x%"))) in
   Alcotest.(check (list string)) "columns in order" [ "a"; "b"; "s" ] (E.columns e)
@@ -149,6 +186,7 @@ let () =
           Alcotest.test_case "in" `Quick test_in;
           Alcotest.test_case "between" `Quick test_between;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "bound once" `Quick test_bound_once;
           Alcotest.test_case "columns" `Quick test_columns_listing;
           Alcotest.test_case "to_string" `Quick test_to_string_roundtrip_shape;
         ] );
