@@ -20,12 +20,11 @@ let ( let* ) = Result.bind
    buffers directly and turns a comparison into a byte by arithmetic and
    table lookups: no closure call, no [Colbatch.phys] and no branch on
    the data. *)
-type kernel = int array -> int -> Bytes.t -> unit
 
 (* Stage 1 (compile): resolve columns against the child schema and prove
    no row can make the row engine fail — otherwise decline with [None].
    Stage 2 (bind): given a batch, close over its column buffers. *)
-type pred = Colbatch.t -> kernel
+type pred = Colbatch.t -> Colbatch.kernel
 
 let mtrue = '\001'
 let munknown = '\002'
@@ -98,10 +97,11 @@ let bool_table bs nulls tbl (ps : int array) c out =
     Bytes.unsafe_set out i (byte tbl (flag bs p + (2 * flag nulls p)))
   done
 
-(* [tbl] holds one byte per dictionary code, then as many unknown bytes:
-   string comparisons with a literal, LIKE and IN lists over strings *)
-let code_table (codes : int array) nulls tbl (ps : int array) c out =
-  let ncodes = String.length tbl / 2 in
+(* [tbl] holds one byte per dictionary code, then unknown bytes: string
+   comparisons with a literal, LIKE and IN lists over strings.  A null
+   row's index is its code plus [ncodes]; its code is that of a real
+   string or, when the dictionary is empty, 0. *)
+let code_table (codes : int array) nulls ncodes tbl (ps : int array) c out =
   for i = 0 to c - 1 do
     let p = Array.unsafe_get ps i in
     Bytes.unsafe_set out i
@@ -217,10 +217,11 @@ let per_code idx test : pred =
   let codes, dict = scol b idx in
   let ncodes = Array.length dict in
   let tbl =
-    String.init (2 * ncodes) (fun d ->
-        if d < ncodes then b3 (test dict.(d)) else munknown)
+    String.init
+      (ncodes + max 1 ncodes)
+      (fun d -> if d < ncodes then b3 (test dict.(d)) else munknown)
   in
-  code_table codes (nulls b idx) tbl
+  code_table codes (nulls b idx) ncodes tbl
 
 let const byte : pred = fun _ _ c out -> Bytes.fill out 0 c byte
 
@@ -284,7 +285,9 @@ let cmp_col_col schema op ia ib : pred option =
     Some
       (fun b ->
         let ca, da = scol b ia and cb, db = scol b ib in
-        str_str ca da cb db (nulls b ia) (nulls b ib) tbl)
+        (* an empty dictionary: every row of that column is null *)
+        if Array.length da = 0 || Array.length db = 0 then const munknown b
+        else str_str ca da cb db (nulls b ia) (nulls b ib) tbl)
   | _ -> None
 
 (* IN-list membership per column class, replicating [Value.equal]:
@@ -433,14 +436,7 @@ let all_some l =
    it: the rows the row engine's three-valued AND keeps, which is true
    only when every operand is. *)
 let select b (preds : pred list) =
-  let kernels = List.map (fun pred -> pred b) preds in
-  let out = Bytes.create Colbatch.vector in
-  Colbatch.filter b (fun ps c ->
-      List.fold_left
-        (fun c k ->
-          k ps c out;
-          Colbatch.compact ps out c)
-        c kernels)
+  Colbatch.filter b (List.map (fun pred -> pred b) preds)
 
 (* ------------------------------------------------------------------ *)
 (* Scan-batch cache                                                    *)

@@ -151,12 +151,23 @@ let compact (ps : int array) mask c =
   done;
   !j
 
-(* Survivors accumulate in a buffer that doubles as needed, so nothing
-   here is sized by the batch; the selection vector is trimmed to
-   exactly the surviving rows at the end. *)
-let filter b keep =
+type kernel = int array -> int -> Bytes.t -> unit
+
+(* Each kernel reads only the rows the earlier ones kept.  Survivors
+   accumulate in a buffer that doubles as needed, so nothing here is
+   sized by the batch; the selection vector is trimmed to exactly the
+   surviving rows at the end. *)
+let filter b (kernels : kernel list) =
   let n = length b in
   let ps = Array.make (min n vector) 0 in
+  let mask = Bytes.create vector in
+  let keep ps c =
+    List.fold_left
+      (fun c k ->
+        k ps c mask;
+        compact ps mask c)
+      c kernels
+  in
   let kept = ref (Array.make (min n vector) 0) and total = ref 0 in
   let lo = ref 0 in
   while !lo < n do

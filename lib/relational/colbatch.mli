@@ -72,21 +72,20 @@ val max_exact_int : int
 (** 2{^53}: {!of_relation} declines an int cell of larger magnitude. *)
 
 val vector : int
-(** Rows per vector: {!filter} hands its predicate at most this many
-    rows at a time. *)
+(** Rows per vector: a {!kernel} sees at most this many rows at a time. *)
 
-val compact : int array -> Bytes.t -> int -> int
-(** [compact ps mask c] moves the rows [ps.(i)], [i < c], whose mask byte
-    is [1] (three-valued: 0 false, 1 true, 2 unknown) to the front of
-    [ps], in order and without a branch on the mask, and returns how many
-    there are. *)
+type kernel = int array -> int -> Bytes.t -> unit
+(** A predicate bound to one batch: [k ps c mask] writes the
+    three-valued byte (0 false, 1 true, 2 unknown) of physical row
+    [ps.(i)] into [mask.(i)] for every [i < c]. *)
 
-val filter : t -> (int array -> int -> int) -> t
-(** [filter b keep] narrows the selection vector to the rows [keep]
-    retains.  [b]'s logical rows go to [keep ps c] in order, as vectors
-    of [c <= vector] physical rows; [keep] moves the ones it retains to
-    the front of [ps] and returns how many.  The new selection vector
-    holds exactly the retained rows; column data is shared, not copied. *)
+val filter : t -> kernel list -> t
+(** [filter b kernels] keeps the logical rows of [b] for which every
+    kernel writes [1], in order.  The kernels run one after another over
+    vectors of at most {!vector} rows, each on the rows the earlier ones
+    kept, and the kept rows are compacted without a branch on the mask.
+    The new selection vector holds exactly the kept rows; column data is
+    shared, not copied. *)
 
 val project : t -> Schema.t -> int array -> t
 (** [project b schema' idx] remaps columns (shared buffers, no copy);

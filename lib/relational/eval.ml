@@ -188,45 +188,58 @@ and run_rows_via recurse db plan =
         cache := (sub, res) :: !cache;
         Ok res
     in
-    (* membership formula of one outer row under [cond] *)
-    let rec formula_of row cond =
+    (* membership formula of one outer row under [cond], with [cond]'s
+       expressions bound to [schema] once *)
+    let rec bind_cond cond : row -> (Formula.t, string) result =
       match cond with
       | Algebra.Pred e ->
-        let* b = Expr.eval_pred schema row.tuple e in
-        Ok (if b then Formula.tru else Formula.fls)
+        let test = Expr.bind_pred schema e in
+        fun row ->
+          let* b = test row.tuple in
+          Ok (if b then Formula.tru else Formula.fls)
       | Algebra.In_sub (e, sub) -> (
-        let* v =
-          match Expr.eval schema row.tuple e with
-          | Ok v -> Ok v
-          | Error msg -> Error ("IN expression error: " ^ msg)
-        in
-        match v with
-        | Value.Null -> Ok Formula.fls (* NULL never matches *)
-        | v ->
-          let* res = sub_result sub in
-          let matches =
-            List.filter (fun r -> Value.equal (Tuple.get r.tuple 0) v) res
+        let value = Expr.bind schema e in
+        fun row ->
+          let* v =
+            match value row.tuple with
+            | Ok v -> Ok v
+            | Error msg -> Error ("IN expression error: " ^ msg)
           in
-          Ok (Formula.disj (List.map (fun r -> r.lineage) matches)))
+          match v with
+          | Value.Null -> Ok Formula.fls (* NULL never matches *)
+          | v ->
+            let* res = sub_result sub in
+            let matches =
+              List.filter (fun r -> Value.equal (Tuple.get r.tuple 0) v) res
+            in
+            Ok (Formula.disj (List.map (fun r -> r.lineage) matches)))
       | Algebra.Exists_sub sub ->
-        let* res = sub_result sub in
-        Ok (Formula.disj (List.map (fun r -> r.lineage) res))
+        fun _ ->
+          let* res = sub_result sub in
+          Ok (Formula.disj (List.map (fun r -> r.lineage) res))
       | Algebra.Not_c c ->
-        let* f = formula_of row c in
-        Ok (Formula.neg f)
+        let fc = bind_cond c in
+        fun row ->
+          let* f = fc row in
+          Ok (Formula.neg f)
       | Algebra.And_c (a, b) ->
-        let* fa = formula_of row a in
-        let* fb = formula_of row b in
-        Ok (Formula.conj [ fa; fb ])
+        let fa = bind_cond a and fb = bind_cond b in
+        fun row ->
+          let* fa = fa row in
+          let* fb = fb row in
+          Ok (Formula.conj [ fa; fb ])
       | Algebra.Or_c (a, b) ->
-        let* fa = formula_of row a in
-        let* fb = formula_of row b in
-        Ok (Formula.disj [ fa; fb ])
+        let fa = bind_cond a and fb = bind_cond b in
+        fun row ->
+          let* fa = fa row in
+          let* fb = fb row in
+          Ok (Formula.disj [ fa; fb ])
     in
+    let formula_of = bind_cond cond in
     List.fold_left
       (fun acc row ->
         let* kept = acc in
-        let* f = formula_of row cond in
+        let* f = formula_of row in
         match Formula.simplify f with
         | Formula.False -> Ok kept
         | f -> Ok ({ row with lineage = Formula.conj [ row.lineage; f ] } :: kept))

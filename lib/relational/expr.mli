@@ -54,6 +54,11 @@ val eval_pred : Schema.t -> Tuple.t -> t -> (bool, string) result
 (** [eval_pred schema tup e] evaluates [e] as a predicate under
     three-valued logic; unknown collapses to [false] (WHERE semantics). *)
 
+val bind : Schema.t -> t -> Tuple.t -> (Value.t, string) result
+(** [bind schema e] resolves [e]'s column names once and returns its
+    evaluator: [bind schema e tup = eval schema tup e] for every row,
+    errors included. *)
+
 val bind_pred : Schema.t -> t -> Tuple.t -> (bool, string) result
 (** [bind_pred schema e] resolves [e]'s column names once and returns
     its predicate: [bind_pred schema e tup = eval_pred schema tup e] for

@@ -52,12 +52,15 @@ let indices ~k n cmp =
   out
 
 let by_score_arr ~k score xs =
-  let scores = Array.map score xs in
-  (* descending: a lower score sorts later *)
-  let cmp i j = Float.compare scores.(j) scores.(i) in
-  Array.fold_right
-    (fun i acc -> xs.(i) :: acc)
-    (indices ~k (Array.length xs) cmp)
-    []
+  if k <= 0 then []
+  else
+    (* each element is scored once *)
+    let scores = Array.map score xs in
+    (* descending: a lower score sorts later *)
+    let cmp i j = Float.compare scores.(j) scores.(i) in
+    Array.fold_right
+      (fun i acc -> xs.(i) :: acc)
+      (indices ~k (Array.length xs) cmp)
+      []
 
 let by_score ~k score xs = by_score_arr ~k score (Array.of_list xs)

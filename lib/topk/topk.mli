@@ -3,7 +3,8 @@
     [by_score ~k score xs] is observably identical to sorting [xs] by
     score descending with a stable sort and keeping the first [k]
     elements — equal scores preserve input order — but runs in
-    O(n log k) time and O(k) space instead of sorting all [n].  The
+    O(n log k) time instead of sorting all [n] (its scores take O(n)
+    space, its heap O(k)).  The
     engine uses it wherever result rows are ranked by confidence
     (lineage witnesses, the CLI's [--top]), and the columnar engine for
     [LIMIT] over [ORDER BY] ({!indices}). *)

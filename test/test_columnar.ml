@@ -522,6 +522,49 @@ let test_exact_edges () =
         lits)
     [ "i"; "x" ]
 
+(* A string column with no non-null cell has an empty dictionary: every
+   comparison, LIKE and IN on it is unknown, so NOT of one keeps no row,
+   and string-to-string comparisons with it are unknown too. *)
+let test_all_null_strings () =
+  let schema = S.of_list [ ("s", V.TString); ("t", V.TString); ("u", V.TString) ] in
+  let tuples =
+    List.init 5 (fun i ->
+        Relational.Tuple.of_list
+          [ V.Null; (if i = 2 then V.Null else V.String (Sm.choice (Sm.of_int i) string_pool)); V.Null ])
+  in
+  let r = R.of_tuples "r" schema tuples in
+  let db = Db.bulk_load Db.empty r (Array.make (List.length tuples) 0.5) in
+  let a = Ex.str "a" in
+  let preds =
+    [
+      Ex.(col "s" =% a);
+      Ex.Not Ex.(col "s" =% a);
+      Ex.Not (Ex.Like (Ex.col "s", "a%"));
+      Ex.Not (Ex.In (Ex.col "s", [ V.String "a" ]));
+      Ex.(col "s" <% col "t");
+      Ex.Not Ex.(col "t" <% col "s");
+      Ex.Not Ex.(col "s" <>% col "u");
+      Ex.Not (Ex.IsNull (Ex.col "s"));
+    ]
+  in
+  List.iter
+    (fun pred ->
+      let plan = A.Select (pred, A.Scan "r") in
+      Alcotest.(check bool) (Ex.to_string pred ^ " vectorizes") true (Col.vectorizes db plan);
+      let res = ok (Col.run db plan) in
+      Alcotest.(check int) (Ex.to_string pred ^ " keeps no row") 0 (List.length res.Eval.rows);
+      Alcotest.(check bool) (Ex.to_string pred) true
+        (result_ident (Eval.run db plan) (Col.run db plan)))
+    preds;
+  List.iter
+    (fun plan ->
+      Alcotest.(check bool) "projection and top-K identical" true
+        (result_ident (Eval.run db plan) (Col.run db plan)))
+    [
+      A.Project ([ "s" ], A.Scan "r");
+      A.Limit (3, A.Order_by ([ ("s", A.Asc); ("t", A.Desc) ], A.Scan "r"));
+    ]
+
 (* Projection onto a single no-null string column takes the dictionary
    dedup fast path (group by code, lineage built as a direct Or of Vars);
    the same column containing a Null falls back to the generic path.
@@ -591,5 +634,6 @@ let () =
           ("bulk ingest chunked", `Quick, test_bulk_large_chunked);
           ("dict dedup fast path", `Quick, test_dedup_dict_fast_path);
           ("comparisons around 2^53", `Quick, test_exact_edges);
+          ("all-null string columns", `Quick, test_all_null_strings);
         ] );
     ]
