@@ -129,15 +129,45 @@ let rec depth = function
   | Not f -> 1 + depth f
   | And fs | Or fs -> 1 + List.fold_left (fun acc f -> max acc (depth f)) 0 fs
 
+(* A placeholder slot: compared physically, so no real variable is it. *)
+let vacant = Tid.make "" 0
+
+(* The ladder asks this of every non-[Var] row it prices, so it is one
+   pass with early exit over an open-addressing table sized from the
+   occurrence count, instead of building variable sets ([vars]
+   allocates a set per subformula).  Slots are found by a Fibonacci hash
+   of the row number; relation names are compared only on a row match. *)
 let is_read_once f =
-  (* count total variable occurrences vs distinct variables *)
-  let rec occurrences = function
-    | True | False -> 0
-    | Var _ -> 1
-    | Not f -> occurrences f
-    | And fs | Or fs -> List.fold_left (fun acc f -> acc + occurrences f) 0 fs
+  let rec occurrences acc = function
+    | True | False -> acc
+    | Var _ -> acc + 1
+    | Not f -> occurrences acc f
+    | And fs | Or fs -> List.fold_left occurrences acc fs
   in
-  occurrences f = var_count f
+  let n = occurrences 0 f in
+  n <= 1
+  ||
+  let cap = ref 8 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap vacant in
+  let rec insert (v : Tid.t) i =
+    let s = Array.unsafe_get slots i in
+    if s == vacant then begin
+      Array.unsafe_set slots i v;
+      true
+    end
+    else (not (Tid.equal s v)) && insert v ((i + 1) land mask)
+  in
+  let rec go = function
+    | True | False -> true
+    | Var v -> insert v ((v.row * 0x9E3779B97F4A7C1) lsr 20 land mask)
+    | Not f -> go f
+    | And fs | Or fs -> List.for_all go fs
+  in
+  go f
 
 let rec is_monotone = function
   | True | False | Var _ -> true

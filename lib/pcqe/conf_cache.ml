@@ -159,34 +159,38 @@ let circuit ?obs t f =
       Obs.incr obs "ladder.circuit_fallback";
       None)
 
+(* [db] is immutable, so one sync when the pricer is built covers every
+   formula it prices afterwards. *)
 let confidence ?obs ?pool ?deadline
-    ?(on_tier = fun (_ : Lineage.Approx.tier) -> ()) t ~db f =
-  match f with
-  | F.Var v ->
-    (* single-tuple lineage: the answer is one base-confidence lookup —
-       no sync, no class bookkeeping *)
-    on_tier Lineage.Approx.Var;
-    (Lineage.Approx.Exact (Db.confidence db v), "var")
-  | _ -> (
-    sync ?obs t ~db;
-    match F.Table.find_opt t.values f with
-    | Some e ->
-      t.reused <- t.reused + 1;
-      Obs.incr obs "serving.reused_classes";
-      (e, "cached")
-    | None ->
-      let name = ref "" in
-      let e =
-        Lineage.Approx.confidence ?pool ?deadline ~circuit:(circuit ?obs t)
-          ~on_tier:(fun rung ->
-            name := Lineage.Approx.tier_name rung;
-            on_tier rung)
-          (Db.confidence_fn db) f
-      in
-      store t f e;
-      t.recomputed <- t.recomputed + 1;
-      Obs.incr obs "serving.recomputed_classes";
-      (e, !name))
+    ?(on_tier = fun (_ : Lineage.Approx.tier) -> ()) t ~db =
+  sync ?obs t ~db;
+  let p = Db.confidence_fn db in
+  fun f ->
+    match f with
+    | F.Var v ->
+      (* single-tuple lineage: the answer is one base-confidence lookup —
+         no class bookkeeping *)
+      on_tier Lineage.Approx.Var;
+      (Lineage.Approx.Exact (p v), "var")
+    | _ -> (
+      match F.Table.find_opt t.values f with
+      | Some e ->
+        t.reused <- t.reused + 1;
+        Obs.incr obs "serving.reused_classes";
+        (e, "cached")
+      | None ->
+        let name = ref "" in
+        let e =
+          Lineage.Approx.confidence ?pool ?deadline ~circuit:(circuit ?obs t)
+            ~on_tier:(fun rung ->
+              name := Lineage.Approx.tier_name rung;
+              on_tier rung)
+            p f
+        in
+        store t f e;
+        t.recomputed <- t.recomputed + 1;
+        Obs.incr obs "serving.recomputed_classes";
+        (e, !name))
 
 let warm ?obs t ~db entries =
   sync ?obs t ~db;

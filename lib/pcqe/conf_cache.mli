@@ -8,8 +8,9 @@
     principals — or re-answering it after a proposal was accepted —
     computes each distinct lineage class once.
 
-    {b Invalidation} is driven per shard.  On every access the cache
-    compares its synced epoch vector with the live
+    {b Invalidation} is driven per shard.  On every {!sync} (which
+    {!confidence} and {!warm} run first) the cache compares its synced
+    epoch vector with the live
     {!Relational.Database.confidence_vector}; for each shard whose slot
     moved it asks {!Relational.Database.shard_changed_since} for the
     dirty base tuples and drops exactly the classes whose formula
@@ -46,10 +47,13 @@ val confidence :
   db:Relational.Database.t ->
   Lineage.Formula.t ->
   Lineage.Approx.estimate * string
-(** The ladder's estimate for the formula under [db]'s confidence
-    vector, plus the label of the tier that produced it — ["var"],
-    ["cached"], or the rung name — for per-tuple auditability
-    ([pcqe explain]).  A single-[Var] formula answers with one
+(** [confidence t ~db] syncs [t] with [db] ({!sync}) once and returns
+    the pricer for [db]: it maps a formula to the ladder's estimate under
+    [db]'s confidence vector, plus the label of the tier that produced
+    it — ["var"], ["cached"], or the rung name — for per-tuple
+    auditability ([pcqe explain]).  Build one pricer per answer and
+    price every row with it; a pricer must not outlive a later sync of
+    [t] with another database.  A single-[Var] formula answers with one
     base-confidence lookup (tier ["var"], no cache traffic).  Otherwise
     the value is cached, or computed by {!Lineage.Approx.confidence}
     and stored; its circuit rung compiles a class once and re-evaluates
@@ -83,8 +87,8 @@ val warm :
     computed against [db]'s current confidence vector. *)
 
 val sync : ?obs:Obs.t -> t -> db:Relational.Database.t -> unit
-(** Catch up with [db]'s confidence epoch vector now (also done
-    implicitly by every lookup): per shard, targeted invalidation when
+(** Catch up with [db]'s confidence epoch vector now (also done when a
+    {!confidence} pricer is built): per shard, targeted invalidation when
     that shard's change log covers the gap, a per-shard flush otherwise;
     wholesale only across a shard-layout change. *)
 

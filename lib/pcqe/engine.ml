@@ -122,11 +122,11 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
       (* (1) traditional access control over the base relations *)
       let* () = Obs.span obs "rbac" (fun () -> check_access plan) in
       (* (2) lineage-carrying query evaluation + confidence computation *)
-      let* res, safe_confs =
+      let* res =
         Obs.span obs "eval" (fun () ->
-            let r = Prepared.eval_conf ?obs prepared ~db:ctx.db in
+            let r = Prepared.eval ?obs prepared ~db:ctx.db in
             (match r with
-            | Ok (res, _) ->
+            | Ok res ->
               let rows = List.length res.Relational.Eval.rows in
               Obs.add_attr obs "rows" (string_of_int rows);
               Obs.observe obs "engine.rows" (float_of_int rows)
@@ -141,43 +141,32 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
             let on_tier tier =
               Obs.incr obs ("ladder." ^ Lineage.Approx.tier_name tier)
             in
-            match safe_confs with
-            | Some confs ->
-              (* safe-plan fast path: confidences came out of batch
-                 evaluation; the ladder and the class cache are idle for
-                 this answer.  Values are bitwise the ladder's. *)
-              Obs.incr obs "engine.safe_plan";
-              Obs.incr obs ~by:(Array.length confs) "engine.safe_plan_rows";
-              Obs.add_attr obs "conf" "safe_plan";
-              List.mapi
-                (fun i r -> (r, Lineage.Approx.Exact confs.(i), "safe_plan"))
-                res.Relational.Eval.rows
-            | None ->
-              let price =
-                match ctx.caches with
-                | Some caches ->
-                  (* per-epoch confidence cache: one computation per
-                     distinct lineage class, bit-identical to the ladder *)
-                  Conf_cache.confidence ?obs ~deadline ~on_tier
-                    (Caches.conf caches) ~db:ctx.db
-                | None ->
-                  let p = Db.confidence_fn ctx.db in
-                  fun f ->
-                    let name = ref "" in
-                    let est =
-                      Lineage.Approx.confidence ~deadline
-                        ~on_tier:(fun tier ->
-                          name := Lineage.Approx.tier_name tier;
-                          on_tier tier)
-                        p f
-                    in
-                    (est, !name)
-              in
-              List.map
-                (fun r ->
-                  let est, tier = price r.Relational.Eval.lineage in
-                  (r, est, tier))
-                res.Relational.Eval.rows)
+            let price =
+              match ctx.caches with
+              | Some caches ->
+                (* per-epoch confidence cache: one computation per
+                   distinct lineage class, bit-identical to the ladder;
+                   building the pricer syncs it with [ctx.db] once *)
+                Conf_cache.confidence ?obs ~deadline ~on_tier
+                  (Caches.conf caches) ~db:ctx.db
+              | None ->
+                let p = Db.confidence_fn ctx.db in
+                fun f ->
+                  let name = ref "" in
+                  let est =
+                    Lineage.Approx.confidence ~deadline
+                      ~on_tier:(fun tier ->
+                        name := Lineage.Approx.tier_name tier;
+                        on_tier tier)
+                      p f
+                  in
+                  (est, !name)
+            in
+            List.map
+              (fun r ->
+                let est, tier = price r.Relational.Eval.lineage in
+                (r, est, tier))
+              res.Relational.Eval.rows)
       in
       (* (3) policy evaluation: select the policy by role and purpose *)
       let applied_policies =

@@ -94,10 +94,10 @@ type released = {
   lineage : Lineage.Formula.t;
   confidence : float;
   conf_tier : string;
-      (** which confidence tier produced [confidence] — ["safe_plan"],
-          ["cached"], or a ladder rung name ([var], [read_once],
-          [circuit], [obdd], [monte_carlo]) — so degraded vs. exact
-          answers are auditable per tuple *)
+      (** which confidence tier produced [confidence] — ["cached"] (a
+          {!Session}'s confidence cache held the class) or a ladder rung
+          name ([var], [read_once], [circuit], [obdd], [monte_carlo]) —
+          so degraded vs. exact answers are auditable per tuple *)
 }
 
 type proposal = {

@@ -39,11 +39,6 @@ val plan : t -> Relational.Algebra.t
 val base_relations : t -> string list
 (** Base relations of the final plan — what RBAC checks per principal. *)
 
-val safe : t -> bool
-(** The {!Relational.Safe_plan} verdict for the compiled plan, decided
-    once at prepare time: [true] means every result row provably carries
-    read-once lineage, so {!eval_conf} can compute confidences inline. *)
-
 val structural_vector : t -> int array
 (** The per-shard structural epoch vector pinned at compile time
     ({!Relational.Database.structural_vector}).  Validity and the
@@ -68,17 +63,3 @@ val eval :
     the database's structural vector still matches (counted as
     [serving.eval_reused]).  The cache holds one vector: a structural
     mutation re-evaluates and replaces it. *)
-
-val eval_conf :
-  ?obs:Obs.t ->
-  t ->
-  db:Relational.Database.t ->
-  (Relational.Eval.annotated * float array option, string) result
-(** {!eval} plus the safe-plan confidence fast path: when {!safe}, also
-    returns per-row confidences
-    (index-aligned with the result rows) computed during batch
-    evaluation — bitwise what the confidence ladder would report for
-    the same rows.  Confidences are memoized per confidence vector
-    alongside the structural-vector row memo; a confidence-only mutation
-    refreshes them with one linear pass.  [None] means the plan is not
-    safe and the caller must price the rows through the ladder. *)

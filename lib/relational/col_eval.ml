@@ -442,47 +442,30 @@ let select b (preds : pred list) =
 (* Scan-batch cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type centry = {
-  mutable confs_at : int array;
-      (* the confidence vector the batch's conf column reflects *)
-  batch : Colbatch.t option; (* [None]: the relation declined *)
-}
-
 (* Keyed by (relation name, structural vector): the vector moves on every
    row-set change of any shard, and stamps are process-globally unique,
-   so a key can never alias a different row set. *)
-let cache : (string * int array, centry) Hashtbl.t = Hashtbl.create 16
+   so a key can never alias a different row set.  A batch holds no
+   confidences, so confidence writes leave every entry valid.  [None]:
+   the relation declined. *)
+let cache : (string * int array, Colbatch.t option) Hashtbl.t =
+  Hashtbl.create 16
+
 let cache_mutex = Mutex.create ()
 let cache_capacity = 64
-
-let cached_batch db r =
-  let key = (Relation.name r, Database.structural_vector db) in
-  Mutex.protect cache_mutex (fun () ->
-      match Hashtbl.find_opt cache key with
-      | Some e -> e.batch
-      | None ->
-        if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
-        let batch = Colbatch.of_relation db r in
-        Hashtbl.replace cache key
-          { confs_at = Database.confidence_vector db; batch };
-        batch)
 
 let scan_batch db name =
   match Database.relation db name with
   | None -> None
-  | Some r -> (
-    match cached_batch db r with
-    | None -> None
-    | Some b ->
-      let key = (name, Database.structural_vector db) in
-      let live = Database.confidence_vector db in
-      Mutex.protect cache_mutex (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some e when e.confs_at <> live ->
-            Colbatch.refresh_confidences db b;
-            e.confs_at <- live
-          | _ -> ());
-      Some b)
+  | Some r ->
+    let key = (Relation.name r, Database.structural_vector db) in
+    Mutex.protect cache_mutex (fun () ->
+        match Hashtbl.find_opt cache key with
+        | Some batch -> batch
+        | None ->
+          if Hashtbl.length cache >= cache_capacity then Hashtbl.reset cache;
+          let batch = Colbatch.of_relation r in
+          Hashtbl.replace cache key batch;
+          batch)
 
 (* ------------------------------------------------------------------ *)
 (* Plan compiler and hybrid evaluation                                 *)
@@ -490,10 +473,7 @@ let scan_batch db name =
 
 let rec compile_plan db (plan : Algebra.t) : (unit -> Colbatch.t) option =
   match plan with
-  | Algebra.Scan name -> (
-    match Database.relation db name with
-    | None -> None
-    | Some r -> Option.map (fun b () -> b) (cached_batch db r))
+  | Algebra.Scan name -> Option.map (fun b () -> b) (scan_batch db name)
   | Algebra.Select (pred, p) -> (
     match compile_plan db p with
     | None -> None
@@ -563,46 +543,3 @@ let run db plan =
   let* schema = Algebra.output_schema db plan in
   let* rows = run_rows db plan in
   Ok { Eval.schema; rows }
-
-(* Safe-plan fast path: when [Safe_plan] proves every row's lineage
-   read-once, confidences are computed during batch evaluation.  A fully
-   vectorized plan keeps [Tids] lineage, whose row confidence IS the
-   cached base-confidence column — one array read per row, no formula
-   walk at all.  Dedup pipelines ([Forms]) and hybrid fallbacks use the
-   linear read-once evaluator per row.  Either way the values are
-   bitwise what the ladder's read-once rung returns. *)
-let run_conf db plan =
-  if not (Safe_plan.analyze plan) then
-    let* res = run db plan in
-    Ok (res, None)
-  else
-    let* schema = Algebra.output_schema db plan in
-    match compile_plan db plan with
-    | Some exec ->
-      (* scan batches are cached across confidence epochs; force the
-         refresh [scan_batch] performs so the conf column is current *)
-      List.iter
-        (fun name -> ignore (scan_batch db name))
-        (Algebra.base_relations plan);
-      let b = exec () in
-      let rows = Colbatch.to_rows b in
-      let n = Colbatch.length b in
-      let confs =
-        match b.Colbatch.lin with
-        | Colbatch.Tids _ ->
-          Array.init n (fun i -> b.Colbatch.conf.(Colbatch.phys b i))
-        | Colbatch.Forms _ ->
-          let p = Database.confidence_fn db in
-          Array.init n (fun i -> Lineage.Prob.read_once p (Colbatch.lineage b i))
-      in
-      Ok ({ Eval.schema; rows }, Some confs)
-    | None ->
-      let* rows = run_rows db plan in
-      let p = Database.confidence_fn db in
-      let confs =
-        Array.of_list
-          (List.map
-             (fun (r : Eval.row) -> Lineage.Prob.read_once p r.lineage)
-             rows)
-      in
-      Ok ({ Eval.schema; rows }, Some confs)

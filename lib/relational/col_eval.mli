@@ -27,10 +27,10 @@
     surviving rows.
 
     Scan batches are cached per relation name, keyed by the database's
-    structural vector, in a small process-global table; confidence
-    updates do not invalidate them (lineage and values are
-    confidence-independent).  {!scan_batch} refreshes a batch's
-    confidence column when the confidence vector moved. *)
+    structural vector, in a small process-global table.  A batch holds
+    tuple ids and values but no confidences, so confidence updates leave
+    every cached batch valid; result rows are priced from their lineage
+    afterwards. *)
 
 val vectorizes : Database.t -> Algebra.t -> bool
 (** [vectorizes db plan] is [true] when the {e whole} plan compiles to
@@ -42,19 +42,7 @@ val run : Database.t -> Algebra.t -> (Eval.annotated, string) result
 val run_rows : Database.t -> Algebra.t -> (Eval.row list, string) result
 (** {!run} without the output schema. *)
 
-val run_conf :
-  Database.t ->
-  Algebra.t ->
-  (Eval.annotated * float array option, string) result
-(** {!run} plus safe-plan confidences: evaluates [plan] and, when
-    the static {!Safe_plan} analysis proves it safe, returns per-row confidences computed
-    during batch evaluation — for fully vectorized pipelines the values
-    come straight from the cached confidence column (one array read per
-    row, no formula walk); dedup and hybrid paths use the linear
-    read-once evaluator.  [None] means the ladder must be consulted. *)
-
 val scan_batch : Database.t -> string -> Colbatch.t option
-(** The cached columnar image of a base relation with its confidence
-    column current for the database's confidence vector, or
-    [None] for unknown/declined relations.  Used by ranking helpers
-    (top-K by confidence) and benchmarks. *)
+(** The cached columnar image of a base relation, built on the first
+    request under the database's structural vector, or [None] for
+    unknown or declined relations.  Every vectorized scan reads it. *)

@@ -23,7 +23,6 @@ type t = {
   cols : col array;
   nulls : Bytes.t array;
   lin : lin;
-  conf : float array;
   sel : int array option;
 }
 
@@ -72,7 +71,7 @@ module Dict = struct
     (dict, boxed, hashes)
 end
 
-let of_relation db r =
+let of_relation r =
   let schema = Relation.schema r in
   let arity = Schema.arity schema in
   let n = Relation.cardinality r in
@@ -88,7 +87,6 @@ let of_relation db r =
   in
   let nulls = Array.init arity (fun _ -> Bytes.make n '\000') in
   let tids = Array.make n (Lineage.Tid.make "" 0) in
-  let conf = Array.make n 0.0 in
   let check_exact v = if v > max_exact_int || v < -max_exact_int then raise Decline in
   let set c i (v : Value.t) =
     match (builders.(c), v) with
@@ -119,7 +117,6 @@ let of_relation db r =
   with
   | exception Decline -> None
   | () ->
-    Database.fill_confidences db tids conf;
     let cols =
       Array.map
         (function
@@ -131,12 +128,7 @@ let of_relation db r =
             SCol { codes; dict; boxed; hashes })
         builders
     in
-    Some { schema; nrows = n; cols; nulls; lin = Tids tids; conf; sel = None }
-
-let refresh_confidences db b =
-  match b.lin with
-  | Forms _ -> ()
-  | Tids tids -> Database.fill_confidences db tids b.conf
+    Some { schema; nrows = n; cols; nulls; lin = Tids tids; sel = None }
 
 let vector = 1024
 
@@ -304,7 +296,6 @@ type group = {
 let dedup_by_code b codes dict boxed hashes tids =
   let ncodes = Array.length dict in
   let grp = Array.make ncodes (-1) in
-  let rep = Array.make ncodes 0 in
   let members : Lineage.Tid.t list array = Array.make ncodes [] in
   let order = ref [] in
   let m = ref 0 in
@@ -314,7 +305,6 @@ let dedup_by_code b codes dict boxed hashes tids =
     let c = Array.unsafe_get codes p in
     if Array.unsafe_get grp c < 0 then begin
       Array.unsafe_set grp c !m;
-      Array.unsafe_set rep c p;
       Array.unsafe_set members c [ Array.unsafe_get tids p ];
       order := c :: !order;
       incr m
@@ -343,7 +333,6 @@ let dedup_by_code b codes dict boxed hashes tids =
              match members.(by_group.(g)) with
              | [ t ] -> Lineage.Formula.var t
              | ts -> Lineage.Formula.Or (List.rev_map Lineage.Formula.var ts)));
-    conf = Array.init m (fun g -> b.conf.(rep.(by_group.(g))));
     sel = None;
   }
 
@@ -438,7 +427,6 @@ let dedup_generic b =
              | [ l ] -> l
              | ls -> Lineage.Formula.disj (List.rev ls))
            groups);
-    conf = Array.map (fun g -> b.conf.(g.rep)) groups;
     sel = None;
   }
 

@@ -3,9 +3,11 @@
     A batch holds one relation's (or intermediate result's) data as typed
     columns stored side by side — [Bigarray] buffers for int and real
     columns, byte arrays for bools, dictionary codes for strings — plus a
-    per-column null byte-map, and the lineage carriers (tuple-id column,
-    or merged formulas after duplicate elimination) and the base
-    confidence column.  A selection vector narrows the batch to a subset
+    per-column null byte-map, and the lineage carrier (tuple-id column,
+    or merged formulas after duplicate elimination).  Confidences are not
+    part of a batch: they change with every accepted proposal while the
+    batch does not, and every result row is priced from its lineage by
+    the confidence ladder.  A selection vector narrows the batch to a subset
     of physical rows without copying column data; operators that must
     materialize (duplicate elimination) compact into a fresh batch.
 
@@ -45,17 +47,13 @@ type t = {
   cols : col array;
   nulls : Bytes.t array;  (** per column, ['\001'] = NULL, length [nrows] *)
   lin : lin;
-  conf : float array;
-      (** per physical row: the base confidence of the originating tuple
-          (meaningful for scan/filter pipelines; dedup keeps the
-          representative's value) *)
   sel : int array option;
       (** selection vector of physical indices, in logical order;
           [None] = all rows *)
 }
 
-val of_relation : Database.t -> Relation.t -> t option
-(** Columnarize a stored relation (tids, confidences and values), or
+val of_relation : Relation.t -> t option
+(** Columnarize a stored relation (tids and values), or
     [None] when the relation is not exactly representable (an integer
     beyond 2{^53} in an int or real column). *)
 
@@ -109,10 +107,6 @@ val top_k : t -> (int * bool) list -> int -> t
 
 val with_schema : t -> Schema.t -> t
 (** Replace the schema (RENAME changes names only, never data). *)
-
-val refresh_confidences : Database.t -> t -> unit
-(** Refill the confidence column from the database's current confidence
-    table (scan batches are cached across confidence epochs). *)
 
 val value : t -> int -> int -> Value.t
 (** [value b c p] is column [c] at {e physical} row [p], boxed. *)

@@ -349,28 +349,6 @@ let confidence_cap db (tid : Tid.t) =
   | Some st -> read st.cap ~default:1.0 tid.row
   | None -> 1.0
 
-(* Consecutive tuples of one relation (a scan batch) share one store
-   lookup, and the common case — no overlay, row inside the array — is a
-   direct float-array copy with no boxing. *)
-let fill_confidences db tids out =
-  let n = Array.length tids in
-  if Array.length out < n then
-    invalid_arg "Database.fill_confidences: output shorter than input";
-  let rel = ref "" and st = ref (StrMap.find_opt "" db.stores) in
-  for i = 0 to n - 1 do
-    let tid : Tid.t = Array.unsafe_get tids i in
-    if not (String.equal tid.rel !rel) then begin
-      rel := tid.rel;
-      st := StrMap.find_opt tid.rel db.stores
-    end;
-    match !st with
-    | Some { rows; conf; _ } when tid.row >= 0 && tid.row < rows ->
-      if conf.over_n = 0 && tid.row < Array.length conf.base then
-        Array.unsafe_set out i (Array.unsafe_get conf.base tid.row)
-      else Array.unsafe_set out i (read conf ~default:0.0 tid.row)
-    | _ -> Array.unsafe_set out i 0.0
-  done
-
 let set_confidence db tid p =
   check_conf "confidence" p;
   match store_of db tid with

@@ -135,13 +135,6 @@ val confidence : t -> Lineage.Tid.t -> float
 val confidence_cap : t -> Lineage.Tid.t -> float
 (** Maximum confidence this tuple can be raised to (default 1.0). *)
 
-val fill_confidences : t -> Lineage.Tid.t array -> float array -> unit
-(** [fill_confidences db tids out] sets [out.(i)] to
-    [confidence db tids.(i)] for every [i] — the bulk read behind scan
-    batches: one store lookup per run of same-relation tuples and no
-    per-row boxing.
-    @raise Invalid_argument if [out] is shorter than [tids]. *)
-
 val set_confidence : t -> Lineage.Tid.t -> float -> t
 (** [set_confidence db tid p] updates the confidence.
     @raise Invalid_argument if [p] is outside [\[0, cap\]] or [tid] is

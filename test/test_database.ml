@@ -378,15 +378,11 @@ let agrees db m =
         List.init (n + 3) (fun i -> Tid.make r (i - 1)))
       ("Z" :: rels)
   in
-  let filled = Array.make (List.length probe) nan in
-  Db.fill_confidences db (Array.of_list probe) filled;
   List.for_all
     (fun t ->
       Float.equal (Db.confidence db t) (m_conf m t)
       && Float.equal (Db.confidence_cap db t) (m_cap m t))
     probe
-  && Array.for_all2 Float.equal filled
-       (Array.of_list (List.map (m_conf m) probe))
   && List.equal
        (fun (t, p) (u, q) -> Tid.equal t u && Float.equal p q)
        (Db.all_confidences db) (Tid.Map.bindings m.conf)

@@ -21,8 +21,9 @@ module E = Pcqe.Engine
 
 let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
 
-(* random database: two relations with random sizes, values, confidences *)
-let random_db rng =
+(* random database: two relations with random sizes (at most [r_rows]
+   and [s_rows] rows), values and confidences *)
+let random_db ?(r_rows = 8) ?(s_rows = 6) rng =
   let r = R.create "R" (S.of_list [ ("k", V.TString); ("n", V.TInt) ]) in
   let s = R.create "S" (S.of_list [ ("k", V.TString); ("m", V.TInt) ]) in
   let db = Db.add_relation (Db.add_relation Db.empty r) s in
@@ -39,8 +40,8 @@ let random_db rng =
     in
     go db count
   in
-  let db = fill db "R" (Sm.int_in rng 1 8) in
-  fill db "S" (Sm.int_in rng 0 6)
+  let db = fill db "R" (Sm.int_in rng 1 r_rows) in
+  fill db "S" (Sm.int_in rng 0 s_rows)
 
 let queries =
   [|
@@ -255,6 +256,72 @@ let qcheck_profile_transparent =
             [ 1; 2; 4 ])
         solvers)
 
+(* Hierarchical ("safe") shapes over two distinct relations: scan and
+   select, projection and DISTINCT, a join and a LEFT JOIN, and the set
+   operators.  Every row's lineage is read-once, so the ladder prices it
+   at its var or read_once rung, and possible-worlds probability
+   ([Prob.exact] of the lineage) is the reference it must meet. *)
+let read_once_queries =
+  [|
+    "SELECT * FROM R";
+    "SELECT * FROM R WHERE n > 3";
+    "SELECT k FROM R";
+    "SELECT DISTINCT k, n FROM R WHERE n < 6";
+    "SELECT * FROM R JOIN S ON R.k = S.k";
+    "SELECT * FROM R, S WHERE R.n < S.m";
+    "SELECT * FROM R LEFT JOIN S ON R.k = S.k";
+    "SELECT k FROM R UNION SELECT k FROM S";
+    "SELECT k FROM R INTERSECT SELECT k FROM S";
+    "SELECT k FROM R EXCEPT SELECT k FROM S";
+  |]
+
+let qcheck_read_once_exact =
+  QCheck.Test.make ~name:"read-once shapes price exactly" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Sm.of_int seed in
+      let db = random_db ~r_rows:6 ~s_rows:6 rng in (* at most 12 tuples *)
+      let beta = Sm.float_in rng 0.1 0.9 in
+      let sql = Sm.choice rng read_once_queries in
+      let ctx = mk_ctx rng db beta in
+      (* no policy covers purpose "open": every row comes back priced *)
+      let request purpose =
+        { E.query = Pcqe.Query.sql sql; user = "u"; purpose; perc = 0.0 }
+      in
+      let above ctx =
+        let all = ok (E.answer ctx (request "open")) in
+        let p = Db.confidence_fn ctx.E.db in
+        let exact (r : E.released) = Lineage.Prob.exact p r.E.lineage in
+        let priced =
+          List.for_all
+            (fun r ->
+              Float.abs (r.E.confidence -. exact r) <= 1e-12
+              && (r.E.conf_tier = "var" || r.E.conf_tier = "read_once"))
+            all.E.released
+        in
+        (priced, List.filter (fun r -> exact r > beta) all.E.released)
+      in
+      let releases expected (resp : E.response) =
+        List.equal
+          (fun (a : E.released) (b : E.released) ->
+            Relational.Tuple.equal a.E.tuple b.E.tuple
+            && Lineage.Formula.equal a.E.lineage b.E.lineage)
+          expected resp.E.released
+      in
+      let priced, expected = above ctx in
+      let session = E.Session.create ctx in
+      let first = ok (E.Session.answer session (request "task")) in
+      (* a confidence write between session answers: the warm re-answer
+         must track it exactly *)
+      let tid = Lineage.Tid.make "R" 0 in
+      let ctx' = { ctx with E.db = Db.set_confidence db tid (Sm.float_in rng 0.0 1.0) } in
+      E.Session.set_context session ctx';
+      let priced', expected' = above ctx' in
+      priced && priced'
+      && releases expected (ok (E.answer ctx (request "task")))
+      && releases expected first
+      && releases expected' (ok (E.Session.answer session (request "task"))))
+
 let () =
   Alcotest.run "engine-properties"
     [
@@ -267,5 +334,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_deterministic;
           QCheck_alcotest.to_alcotest qcheck_obs_transparent;
           QCheck_alcotest.to_alcotest qcheck_profile_transparent;
+          QCheck_alcotest.to_alcotest qcheck_read_once_exact;
         ] );
     ]

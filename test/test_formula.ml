@@ -135,6 +135,41 @@ let qcheck_double_restrict_commutes =
         (F.restrict a true (F.restrict b false f))
         (F.restrict b false (F.restrict a true f)))
 
+(* [is_read_once] against its definition, on formulas built without the
+   smart constructors (so an operator may repeat a variable) over two
+   relations that share row numbers, including rows that collide in the
+   low bits and negative ones; up to a few hundred occurrences *)
+let qcheck_read_once_definition =
+  let open QCheck.Gen in
+  let var =
+    map2
+      (fun rel row -> F.Var (Tid.make rel row))
+      (oneofl [ "t"; "u" ])
+      (oneof [ int_range 0 40; map (fun k -> k lsl 20) (int_range 0 8); int_range (-3) (-1) ])
+  in
+  let gen =
+    sized_size (int_range 1 300)
+    @@ fix (fun self n ->
+           if n <= 1 then var
+           else
+             frequency
+               [
+                 (1, var);
+                 (1, map (fun f -> F.Not f) (self (n / 2)));
+                 (2, map (fun fs -> F.And fs) (list_size (int_range 2 6) (self (n / 3))));
+                 (2, map (fun fs -> F.Or fs) (list_size (int_range 2 6) (self (n / 3))));
+               ])
+  in
+  let rec occurrences = function
+    | F.True | F.False -> 0
+    | F.Var _ -> 1
+    | F.Not f -> occurrences f
+    | F.And fs | F.Or fs -> List.fold_left (fun acc f -> acc + occurrences f) 0 fs
+  in
+  QCheck.Test.make ~name:"read-once iff no variable repeats" ~count:500
+    (QCheck.make ~print:F.to_string gen)
+    (fun f -> F.is_read_once f = (occurrences f = F.var_count f))
+
 let () =
   Alcotest.run "formula"
     [
@@ -158,5 +193,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_simplify_preserves_semantics;
           QCheck_alcotest.to_alcotest qcheck_restrict_fixes_variable;
           QCheck_alcotest.to_alcotest qcheck_double_restrict_commutes;
+          QCheck_alcotest.to_alcotest qcheck_read_once_definition;
         ] );
     ]

@@ -138,9 +138,9 @@ let stat session name =
 (* ------------------------------------------------------------------ *)
 (* prepared-plan cache *)
 
-(* A self-join: its plan is not safe and its rows carry multi-tuple
-   lineage, so answers go through the confidence cache (a safe plan, or
-   single-tuple lineage, is priced without it). *)
+(* A self-join: its rows carry multi-tuple lineage, so answers go
+   through the confidence cache (single-tuple lineage is priced by one
+   base-confidence lookup, without it). *)
 let self_join_sql = "SELECT X.n FROM R AS X, R AS Y WHERE X.n < Y.n"
 
 let test_plan_cache_hit_miss () =
