@@ -115,16 +115,6 @@ let solver_of_string = function
 (* ------------------------------------------------------------------ *)
 (* query subcommand *)
 
-(* --shards N: hash-partition the loaded database before serving.
-   Pure routing — answers are bit-identical at any shard count — so it
-   is applied once at context build, after the data is loaded. *)
-let apply_shards shards ctx =
-  match shards with
-  | None -> Ok ctx
-  | Some n when n >= 1 ->
-    Ok { ctx with Pcqe.Engine.db = Db.with_shards ctx.Pcqe.Engine.db n }
-  | Some n -> Error (Printf.sprintf "--shards %d: need at least 1" n)
-
 let build_context workspace data_dir rbac_file policy_file costs_file solver =
   let* solver = solver_of_string solver in
   match workspace with
@@ -209,13 +199,12 @@ let print_top_released k (resp : Pcqe.Engine.response) =
     top
 
 let run_query workspace data_dir rbac_file policy_file costs_file user purpose
-    perc solver jobs shards deadline_ms apply trace metrics_out
+    perc solver jobs deadline_ms apply trace metrics_out
     metrics_format top sql =
   let result =
     let* ctx =
       build_context workspace data_dir rbac_file policy_file costs_file solver
     in
-    let* ctx = apply_shards shards ctx in
     let ctx =
       match jobs with
       | None -> ctx
@@ -312,13 +301,12 @@ let print_batch_outcome i (req : Pcqe.Engine.request) = function
       | None -> "")
 
 let run_batch workspace data_dir rbac_file policy_file costs_file solver jobs
-    shards deadline_ms repeat stats trace metrics_out metrics_format
+    deadline_ms repeat stats trace metrics_out metrics_format
     requests_file =
   let result =
     let* ctx =
       build_context workspace data_dir rbac_file policy_file costs_file solver
     in
-    let* ctx = apply_shards shards ctx in
     let ctx =
       match jobs with
       | None -> ctx
@@ -374,12 +362,11 @@ let run_batch workspace data_dir rbac_file policy_file costs_file solver jobs
    confidence-ladder rungs the request used. *)
 
 let run_explain workspace data_dir rbac_file policy_file costs_file user
-    purpose perc solver jobs shards deadline_ms cold sql =
+    purpose perc solver jobs deadline_ms cold sql =
   let result =
     let* ctx =
       build_context workspace data_dir rbac_file policy_file costs_file solver
     in
-    let* ctx = apply_shards shards ctx in
     let ctx =
       match jobs with
       | None -> ctx
@@ -572,13 +559,12 @@ let run_export data_dir relation =
 (* serve subcommand: the fault-tolerant network serving tier *)
 
 let run_serve workspace data_dir rbac_file policy_file costs_file solver jobs
-    shards listen admit queue retry_after_ms default_deadline_ms
+    listen admit queue retry_after_ms default_deadline_ms
     max_requests drain_deadline_s metrics_out metrics_format =
   let result =
     let* ctx =
       build_context workspace data_dir rbac_file policy_file costs_file solver
     in
-    let* ctx = apply_shards shards ctx in
     let ctx =
       match jobs with
       | None -> ctx
@@ -602,10 +588,9 @@ let run_serve workspace data_dir rbac_file policy_file costs_file solver jobs
     in
     with_obs ~trace:false ~metrics_out ~metrics_format (fun obs ->
         let server = Net.Server.start ?obs ~config ~ctx listen in
-        Printf.printf "pcqe: serving on %s (admit %d, queue %d, shards %d)\n%!"
+        Printf.printf "pcqe: serving on %s (admit %d, queue %d)\n%!"
           (Net.Server.listen_to_string (Net.Server.address server))
-          admit queue
-          (Db.shard_count ctx.Pcqe.Engine.db);
+          admit queue;
         (* graceful shutdown: SIGINT/SIGTERM flip a flag observed by the
            wait loop; the server then drains in-flight requests under the
            bounded deadline before severing connections *)
@@ -634,9 +619,9 @@ let run_serve workspace data_dir rbac_file policy_file costs_file solver jobs
             "pcqe: signal received; draining in-flight requests (deadline %.1fs)\n%!"
             drain_deadline_s;
         Net.Server.stop ~drain_deadline_s server;
-        (* the per-shard series are refreshed on demand, not per request
-           — right before the metrics flush is the moment that matters *)
-        Net.Server.refresh_shard_gauges server;
+        (* the cache gauges are refreshed on demand, not per request —
+           right before the metrics flush is the moment that matters *)
+        Net.Server.refresh_gauges server;
         (* one final metrics line, whatever stopped us: scrapers and log
            tails get the closing counter totals even without --metrics-out *)
         let stats = Net.Server.stats server in
@@ -783,18 +768,6 @@ let jobs_arg =
            the PCQE_JOBS environment variable, else 1.  Results are \
            identical at every level.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Hash-partition the database's tuple ids across $(docv) shards, \
-           each with its own epochs and change log, so confidence-cache \
-           invalidation is per-shard.  Pure routing: answers, lineage and \
-           solver outcomes are bit-identical at every shard count.  \
-           Default 1 (unsharded).")
-
 let deadline_arg =
   Arg.(
     value
@@ -889,7 +862,7 @@ let query_cmd =
     Term.(
       const run_query $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
       $ costs_arg $ user_arg $ purpose_arg $ perc_arg $ solver_arg $ jobs_arg
-      $ shards_arg $ deadline_arg $ apply_arg $ trace_arg
+      $ deadline_arg $ apply_arg $ trace_arg
       $ metrics_out_arg $ metrics_format_arg $ top_arg $ sql_arg)
 
 let explain_cmd =
@@ -954,7 +927,7 @@ let explain_cmd =
     Term.(
       const run_explain $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
       $ costs_arg $ user_arg $ purpose_arg $ perc_arg $ solver_arg $ jobs_arg
-      $ shards_arg $ deadline_arg $ cold_arg $ sql_arg)
+      $ deadline_arg $ cold_arg $ sql_arg)
 
 let batch_cmd =
   let rbac_arg =
@@ -1019,7 +992,7 @@ let batch_cmd =
     (Cmd.info "batch" ~doc ~man)
     Term.(
       const run_batch $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
-      $ costs_arg $ solver_arg $ jobs_arg $ shards_arg $ deadline_arg
+      $ costs_arg $ solver_arg $ jobs_arg $ deadline_arg
       $ repeat_arg $ stats_arg $ trace_arg $ metrics_out_arg
       $ metrics_format_arg $ requests_arg)
 
@@ -1169,7 +1142,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run_serve $ workspace_arg $ data_opt_arg $ rbac_arg $ policy_arg
-      $ costs_arg $ solver_arg $ jobs_arg $ shards_arg
+      $ costs_arg $ solver_arg $ jobs_arg
       $ listen_arg $ admit_arg $ queue_arg $ retry_after_arg
       $ default_deadline_arg $ max_requests_arg $ drain_arg $ metrics_out_arg
       $ metrics_format_arg)

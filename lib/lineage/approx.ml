@@ -50,7 +50,7 @@ let compile ?(deadline = Resilience.Deadline.never) ?(circuit = build_circuit)
         | b -> (Obdd, Some (fun p -> Bdd.prob m p b))
         | exception Bdd.Size_cap_exceeded -> (Monte_carlo, None)))
 
-let confidence ?pool ?fork ?(deadline = Resilience.Deadline.never)
+let confidence ?(deadline = Resilience.Deadline.never)
     ?(on_tier = fun (_ : tier) -> ()) ?circuit ?exact_node_cap
     ?(mc = default_mc) p f =
   let tier, eval = compile ~deadline ?circuit ?exact_node_cap f in
@@ -60,9 +60,9 @@ let confidence ?pool ?fork ?(deadline = Resilience.Deadline.never)
   | None when Resilience.Deadline.expired deadline -> Failed "deadline"
   | None -> (
     let samples = samples_for mc in
-    (* per-formula stream: reproducible, order- and pool-independent *)
+    (* per-formula stream: reproducible and order-independent *)
     let rng = Prng.Splitmix.of_int (mc.seed lxor Formula.hash f) in
-    match Prob.monte_carlo ?pool ?fork ~deadline rng ~samples p f with
+    match Prob.monte_carlo ~deadline rng ~samples p f with
     | est ->
       Interval
         {

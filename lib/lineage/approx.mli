@@ -86,8 +86,6 @@ val compile :
     per-class table so a circuit is built once. *)
 
 val confidence :
-  ?pool:Exec.Pool.t ->
-  ?fork:Obs.task_ctx ->
   ?deadline:Resilience.Deadline.t ->
   ?on_tier:(tier -> unit) ->
   ?circuit:(Formula.t -> Circuit.t option) ->
@@ -100,8 +98,8 @@ val confidence :
     defaults to [20_000]), then the Monte-Carlo rung, parameterized by
     [mc] (default {!default_mc}).  The Monte-Carlo seed is derived from
     [mc.seed] and {!Formula.hash}[ f], so the estimate for a given
-    formula is reproducible and independent of evaluation order and of
-    [pool].  Never raises: any exception from the sampling rung is
+    formula is reproducible and independent of evaluation order.  Never
+    raises: any exception from the sampling rung is
     converted to [Failed].
 
     [deadline] (default {!Resilience.Deadline.never}) is checked before
@@ -112,10 +110,7 @@ val confidence :
     {e before} that rung's value is returned (a rung that fails — its
     sampler raised, or the deadline expired — still reports, so the
     [Failed] path counts under the rung that failed).  Observation-only:
-    callers use it to bump [ladder.*] counters.
-
-    [fork] is passed through to {!Prob.monte_carlo} so sampling chunks
-    appear as task spans under the caller's captured span. *)
+    callers use it to bump [ladder.*] counters. *)
 
 val point : estimate -> float
 (** The value to display: the exact value, an interval's point

@@ -111,18 +111,18 @@ let shannon_cost_estimate f =
 exception Deadline_expired
 
 (* Sampling is chunked: the caller's generator is split into one child
-   stream per fixed-size chunk up front, and both the sequential and the
-   pooled path consume exactly those streams — so the estimate is a pure
-   function of (seed, samples, chunk), never of the jobs count. *)
-let monte_carlo ?pool ?fork ?(deadline = Resilience.Deadline.never)
-    ?(chunk = 4096) rng ~samples p f =
+   stream per fixed-size chunk up front, so the estimate is a pure
+   function of (seed, samples, chunk), and the deadline is checked
+   between chunks. *)
+let monte_carlo ?(deadline = Resilience.Deadline.never) ?(chunk = 4096) rng
+    ~samples p f =
   if samples <= 0 then invalid_arg "Prob.monte_carlo: samples must be positive";
   if chunk <= 0 then invalid_arg "Prob.monte_carlo: chunk must be positive";
   let vars = Tid.Set.elements (Formula.vars f) in
   let num_chunks = (samples + chunk - 1) / chunk in
   let rngs = Prng.Splitmix.split_n rng num_chunks in
   (* chaos-testable injection point, modelling the sampler being cut
-     off: chunk [ci] is hit [base + ci], whatever the pool's schedule *)
+     off: chunk [ci] is hit [base + ci] *)
   let chunk_fault =
     Resilience.Fault.reserve Resilience.Fault.site_prob_mc num_chunks
   in
@@ -141,21 +141,8 @@ let monte_carlo ?pool ?fork ?(deadline = Resilience.Deadline.never)
     done;
     !hits
   in
-  (* each chunk runs inside a per-task span when the caller forked a trace
-     context; span lists come back with the chunk results and are stitched
-     in chunk order, so the tree never depends on scheduling *)
-  let traced ci =
-    Obs.task fork
-      ~attrs:[ ("chunk", string_of_int ci) ]
-      "mc-chunk"
-      (fun _ -> run_chunk ci)
-  in
-  let outs =
-    match pool with
-    | None -> Array.init num_chunks traced
-    | Some pool ->
-      Exec.Pool.map_array ~chunk:1 pool traced (Array.init num_chunks Fun.id)
-  in
-  Obs.stitch fork (Array.map snd outs);
-  let hits = Array.fold_left (fun acc (h, _) -> acc + h) 0 outs in
-  float_of_int hits /. float_of_int samples
+  let hits = ref 0 in
+  for ci = 0 to num_chunks - 1 do
+    hits := !hits + run_chunk ci
+  done;
+  float_of_int !hits /. float_of_int samples

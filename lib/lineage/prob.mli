@@ -50,8 +50,6 @@ exception Deadline_expired
     chunk starts. *)
 
 val monte_carlo :
-  ?pool:Exec.Pool.t ->
-  ?fork:Obs.task_ctx ->
   ?deadline:Resilience.Deadline.t ->
   ?chunk:int ->
   Prng.Splitmix.t ->
@@ -64,18 +62,9 @@ val monte_carlo :
     [0.5 / sqrt samples].
 
     Samples are drawn in chunks of [chunk] (default 4096) worlds, each
-    chunk from its own generator split off [rng] up front — with [pool],
-    chunks are evaluated across the pool's domains, and because the
-    per-chunk streams are fixed before forking, the estimate is {e
-    identical} at every parallelism level (including no pool at all) for
-    a given seed and [chunk].  [p] is called concurrently under [pool]
-    and must be pure.
+    chunk from its own generator split off [rng] up front, so the
+    estimate is a pure function of [rng], [samples] and [chunk].
 
     [deadline] (default {!Resilience.Deadline.never}) is checked before
     every chunk; once it has expired the call raises {!Deadline_expired}
-    instead of drawing further worlds.
-
-    [fork] (an {!Obs.fork} capture taken while the caller's span is
-    open) makes each chunk record an ["mc-chunk"] task span; the spans
-    are stitched under the captured span in chunk order after the join,
-    so the trace tree is identical at any parallelism level. *)
+    instead of drawing further worlds. *)

@@ -499,29 +499,10 @@ let caches t =
   | Some c -> c
   | None -> assert false (* [start] installs them *)
 
-(* shard-level serving gauges, refreshed on demand — a metrics export is
-   the natural moment; a per-request refresh would cost a scan of the
-   confidence cache.  Read under the serving mutex, published under the
+(* the serving cache's gauges, refreshed on demand — a metrics export is
+   the natural moment.  Read under the serving mutex, published under the
    server lock (in that order). *)
-let refresh_shard_gauges t =
-  match t.obs with
-  | None -> ()
-  | Some o ->
-    let epochs, tuples, sizes =
-      with_serving t (fun () ->
-          let db = (Pcqe.Engine.Session.context t.session).Pcqe.Engine.db in
-          let shards = Relational.Database.shard_count db in
-          ( Relational.Database.confidence_vector db,
-            Relational.Database.shard_tuples db,
-            Pcqe.Conf_cache.shard_sizes (Pcqe.Caches.conf (caches t)) ~shards ))
-    in
-    locked t (fun () ->
-        Array.iteri
-          (fun i epoch ->
-            let g name = Printf.sprintf "shard.%s{shard=\"%d\"}" name i in
-            Obs.Metrics.set_gauge o.Obs.metrics (g "epoch") (float_of_int epoch);
-            Obs.Metrics.set_gauge o.Obs.metrics (g "tuples")
-              (float_of_int tuples.(i));
-            Obs.Metrics.set_gauge o.Obs.metrics (g "conf_cache_size")
-              (float_of_int sizes.(i)))
-          epochs)
+let refresh_gauges t =
+  if Option.is_some t.obs then
+    with_serving t (fun () ->
+        locked t (fun () -> Pcqe.Caches.export_gauges (caches t) t.obs))

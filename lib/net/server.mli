@@ -30,8 +30,8 @@
     under it, and [Accept] applies its increments under it, so accepts
     form one linear history and each is visible to every principal's
     next query.  The confidence cache revalidates through the
-    database's per-shard epoch vectors, so an accept invalidates only
-    the cached classes whose lineage lives on the mutated shard(s).
+    database's confidence epoch and change log, so an accept invalidates
+    only the cached classes whose lineage mentions a raised tuple.
     Per principal the server keeps only the latest proposal, parked
     under a single-use token that only that principal may quote, which
     makes replayed/retried accepts harmless.
@@ -99,13 +99,11 @@ val stats : t -> (string * int) list
     [net.timeouts], [net.errors], [net.malformed], [net.pings],
     [net.accepted], [net.connections], [net.fault.*]. *)
 
-val refresh_shard_gauges : t -> unit
-(** Refresh the per-shard serving gauges — [shard.epoch],
-    [shard.tuples] and [shard.conf_cache_size], one [{shard="i"}]
-    labelled series each — from the published database and the one
-    confidence cache, read under the serving mutex.  On demand rather
-    than per request (cache occupancy scans the cache); [pcqe serve]
-    calls it before flushing metrics.  No-op without an observer. *)
+val refresh_gauges : t -> unit
+(** Publish the one serving cache's {!Pcqe.Caches.export_gauges} series
+    ([cache.conf.entries], [cache.prepared.hit], ...) into the server's
+    metrics registry, read under the serving mutex.  [pcqe serve] calls
+    it before flushing metrics.  No-op without an observer. *)
 
 val caches : t -> Pcqe.Caches.t
 (** The server's one plan cache and confidence cache.  Not locked:

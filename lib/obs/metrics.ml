@@ -197,16 +197,6 @@ let render t =
 
 (* --- OpenMetrics text exposition --- *)
 
-(* Split a metric name into its family and an optional verbatim
-   [{labels}] suffix — registry names like [shard.epoch{shard="0"}]
-   carry one series per label set.  Only the family part is mangled;
-   the label block must survive untouched (quotes, digits and all). *)
-let om_split name =
-  match String.index_opt name '{' with
-  | Some i when name.[String.length name - 1] = '}' ->
-    (String.sub name 0 i, String.sub name i (String.length name - i))
-  | _ -> (name, "")
-
 let om_name name =
   let mangled =
     String.map
@@ -227,28 +217,17 @@ let om_float f =
 
 let to_openmetrics t =
   let buf = Buffer.create 1024 in
-  (* one TYPE line per family: labelled series ([family{shard="0"}],
-     [family{shard="1"}], ...) share it *)
-  let typed : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let type_line n kind =
-    if not (Hashtbl.mem typed n) then begin
-      Hashtbl.add typed n ();
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" n kind)
-    end
-  in
   List.iter
     (fun (name, v) ->
-      let fam, labels = om_split name in
-      let n = om_name fam in
-      type_line n "counter";
-      Buffer.add_string buf (Printf.sprintf "%s_total%s %d\n" n labels v))
+      let n = om_name name in
+      Buffer.add_string buf
+        (Printf.sprintf "# TYPE %s counter\n%s_total %d\n" n n v))
     (counters t);
   List.iter
     (fun (name, v) ->
-      let fam, labels = om_split name in
-      let n = om_name fam in
-      type_line n "gauge";
-      Buffer.add_string buf (Printf.sprintf "%s%s %s\n" n labels (om_float v)))
+      let n = om_name name in
+      Buffer.add_string buf
+        (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (om_float v)))
     (gauges t);
   List.iter
     (fun (name, h) ->

@@ -4,10 +4,8 @@ module Tid = Lineage.Tid
 
 type t = {
   max_entries : int;
-  mutable epochs : int array;
-      (* per-shard synced confidence epochs, index-aligned with the
-         database's shard numbers; [[||]] until the first sync adopts a
-         shard layout *)
+  mutable epoch : int;
+      (* the synced confidence epoch; [unsynced] until the first sync *)
   values : Lineage.Approx.estimate F.Table.t;
   circuits : Lineage.Circuit.t F.Table.t;
       (* compiled d-DNNF per class: structure-only, so confidence-epoch
@@ -19,13 +17,16 @@ type t = {
   mutable invalidated : int;
 }
 
+(* stamps are never negative *)
+let unsynced = -1
+
 let create ?(max_entries = 65_536) () =
   if max_entries < 1 then
     invalid_arg
       (Printf.sprintf "Conf_cache.create: max_entries %d < 1" max_entries);
   {
     max_entries;
-    epochs = [||];
+    epoch = unsynced;
     values = F.Table.create 256;
     circuits = F.Table.create 64;
     by_base = Hashtbl.create 256;
@@ -34,7 +35,6 @@ let create ?(max_entries = 65_536) () =
     invalidated = 0;
   }
 
-let synced_epochs t = Array.copy t.epochs
 let length t = F.Table.length t.values
 let mem t f = F.Table.mem t.values f
 let reused t = t.reused
@@ -70,53 +70,33 @@ let invalidate_bases ?obs t dirty =
     Obs.incr obs ~by:!dropped "serving.invalidated_classes"
   end
 
-(* Wholesale flush restricted to one shard: drop every cached class that
-   mentions a base tuple the shard owns.  Classes indexed only under
-   foreign tuples cannot have been dirtied by this shard's mutations, so
-   they survive — this is what keeps one principal's flood of accepted
-   proposals on shard [i] from evicting the serving state of everyone
-   whose lineage lives elsewhere. *)
-let flush_shard ?obs t ~db shard =
-  let dirty =
-    Hashtbl.fold
-      (fun tid _ acc ->
-        if Db.shard_of_tid db tid = shard then Tid.Set.add tid acc else acc)
-      t.by_base Tid.Set.empty
-  in
-  invalidate_bases ?obs t dirty
-
-let sync ?obs t ~db =
-  let live = Db.confidence_vector db in
-  if t.epochs <> live then begin
-    if Array.length t.epochs <> Array.length live then
-      (* first sync, or the shard layout changed underneath us: there is
-         no per-shard history across a re-partition — flush wholesale *)
-      clear t
-    else
-      Array.iteri
-        (fun i since ->
-          if since <> live.(i) then
-            match Db.shard_changed_since db ~shard:i ~since with
-            | Some dirty when Tid.Set.is_empty dirty -> ()
-            | Some dirty -> invalidate_bases ?obs t dirty
-            | None ->
-              (* shard [i]'s change log does not reach back to our epoch
-                 (or the database diverged from the history we cached
-                 against): correctness demands a flush — of this shard's
-                 classes only *)
-              flush_shard ?obs t ~db i)
-        t.epochs;
-    t.epochs <- live
+(* Drop every cached value and the [by_base] index, keeping the compiled
+   circuits: they depend on a class's structure only, so the next price
+   of a flushed class is one re-evaluation. *)
+let flush_values ?obs t =
+  let dropped = F.Table.length t.values in
+  F.Table.reset t.values;
+  Hashtbl.reset t.by_base;
+  if dropped > 0 then begin
+    t.invalidated <- t.invalidated + dropped;
+    Obs.incr obs ~by:dropped "serving.invalidated_classes"
   end
 
-let shard_sizes t ~shards =
-  let sizes = Array.make (max 1 shards) 0 in
-  Hashtbl.iter
-    (fun tid _ ->
-      let i = Db.shard_of ~shards tid in
-      sizes.(i) <- sizes.(i) + 1)
-    t.by_base;
-  sizes
+let sync ?obs t ~db =
+  let live = Db.confidence_epoch db in
+  if t.epoch <> live then begin
+    if t.epoch = unsynced then clear t
+    else begin
+      match Db.changed_since db ~since:t.epoch with
+      | Some dirty -> invalidate_bases ?obs t dirty
+      | None ->
+        (* the change log does not reach back to our epoch (or the
+           database diverged from the history we cached against):
+           correctness demands a flush *)
+        flush_values ?obs t
+    end;
+    t.epoch <- live
+  end
 
 let index t f =
   Tid.Set.iter
@@ -138,7 +118,7 @@ let store t f (e : Lineage.Approx.estimate) =
     index t f
 
 (* The ladder's circuit rung, backed by the per-class table: compile a
-   class once and re-evaluate it under every later confidence vector
+   class once and re-evaluate it under every later confidence epoch
    (counted as [ladder.circuit_build] / [ladder.circuit_reeval]; a
    node-cap overflow counts [ladder.circuit_fallback] and the ladder
    moves on to its OBDD rung). *)
@@ -161,7 +141,7 @@ let circuit ?obs t f =
 
 (* [db] is immutable, so one sync when the pricer is built covers every
    formula it prices afterwards. *)
-let confidence ?obs ?pool ?deadline
+let confidence ?obs ?deadline
     ?(on_tier = fun (_ : Lineage.Approx.tier) -> ()) t ~db =
   sync ?obs t ~db;
   let p = Db.confidence_fn db in
@@ -181,7 +161,7 @@ let confidence ?obs ?pool ?deadline
       | None ->
         let name = ref "" in
         let e =
-          Lineage.Approx.confidence ?pool ?deadline ~circuit:(circuit ?obs t)
+          Lineage.Approx.confidence ?deadline ~circuit:(circuit ?obs t)
             ~on_tier:(fun rung ->
               name := Lineage.Approx.tier_name rung;
               on_tier rung)

@@ -1,29 +1,24 @@
 (** Per-epoch confidence cache, keyed by deduplicated lineage class.
 
     Result confidence depends only on the lineage formula and the
-    database's confidence vector — not on the principal.  This cache
+    database's confidences — not on the principal.  This cache
     memoizes confidence per formula {e structure} (via
     {!Lineage.Formula.Table}, the same hash-consing notion the solver
     stack uses for its evaluation classes), so answering one query for N
     principals — or re-answering it after a proposal was accepted —
     computes each distinct lineage class once.
 
-    {b Invalidation} is driven per shard.  On every {!sync} (which
-    {!confidence} and {!warm} run first) the cache compares its synced
-    epoch vector with the live
-    {!Relational.Database.confidence_vector}; for each shard whose slot
-    moved it asks {!Relational.Database.shard_changed_since} for the
-    dirty base tuples and drops exactly the classes whose formula
-    mentions one (counted as [serving.invalidated_classes]).  When a
-    shard's bounded change log cannot answer — the cache fell too far
-    behind, or the database diverged from the cached history — only that
-    shard's classes are flushed (every class indexed under a base tuple
-    the shard owns); classes whose lineage lives entirely on other
-    shards survive.  A shard-layout change
-    ({!Relational.Database.with_shards}) flushes wholesale: per-shard
-    history does not span a re-partition.  Either way a lookup never
-    returns a confidence computed from a stale vector; property tests
-    pin warm results bit-identical to cold recomputation.
+    {b Invalidation.}  On every {!sync} (which {!confidence} and
+    {!warm} run first) the cache compares its synced epoch with the live
+    {!Relational.Database.confidence_epoch}; when it moved, it asks
+    {!Relational.Database.changed_since} for the dirty base tuples and
+    drops exactly the classes whose formula mentions one (counted as
+    [serving.invalidated_classes]).  When the bounded change log cannot
+    answer — the cache fell too far behind, or the database diverged
+    from the cached history — every cached value is dropped, but the
+    compiled circuits are kept.  Either way a lookup never returns a
+    confidence computed from stale confidences; property tests pin warm
+    results bit-identical to cold recomputation.
 
     Values are the ladder's estimates ({!Lineage.Approx.confidence});
     the cache also keeps each class's compiled d-DNNF circuit across
@@ -40,7 +35,6 @@ val create : ?max_entries:int -> unit -> t
 
 val confidence :
   ?obs:Obs.t ->
-  ?pool:Exec.Pool.t ->
   ?deadline:Resilience.Deadline.t ->
   ?on_tier:(Lineage.Approx.tier -> unit) ->
   t ->
@@ -49,7 +43,7 @@ val confidence :
   Lineage.Approx.estimate * string
 (** [confidence t ~db] syncs [t] with [db] ({!sync}) once and returns
     the pricer for [db]: it maps a formula to the ladder's estimate under
-    [db]'s confidence vector, plus the label of the tier that produced
+    [db]'s confidences, plus the label of the tier that produced
     it — ["var"], ["cached"], or the rung name — for per-tuple
     auditability ([pcqe explain]).  Build one pricer per answer and
     price every row with it; a pricer must not outlive a later sync of
@@ -57,12 +51,12 @@ val confidence :
     base-confidence lookup (tier ["var"], no cache traffic).  Otherwise
     the value is cached, or computed by {!Lineage.Approx.confidence}
     and stored; its circuit rung compiles a class once and re-evaluates
-    it under every later vector ([ladder.circuit_build] /
+    it under every later epoch ([ladder.circuit_build] /
     [ladder.circuit_reeval]; a node-cap overflow counts
     [ladder.circuit_fallback] and the ladder moves on).  Estimates are
     reproducible per formula (the Monte-Carlo seed derives from the
     formula hash), so a cached estimate is bit-identical to
-    recomputation — with or without [pool].  A [Failed] estimate (the
+    recomputation.  A [Failed] estimate (the
     [deadline] expired, the sampler raised) is returned but never
     stored.  [on_tier] fires for the [var] shortcut and on a miss (the
     rung that answered a cached class was reported when it was
@@ -73,7 +67,7 @@ val circuit : ?obs:Obs.t -> t -> Lineage.Formula.t -> Lineage.Circuit.t option
     confidence epochs ([None] past the node cap).  {!confidence} prices
     its circuit rung through it; pass it as
     {!Lineage.Approx.confidence}'s [circuit] to price a class under
-    another confidence vector without recompiling. *)
+    other confidences without recompiling. *)
 
 val warm :
   ?obs:Obs.t ->
@@ -84,24 +78,13 @@ val warm :
 (** Install precomputed estimates (e.g. computed in parallel over an
     {!Exec.Pool} by the batch stage) for formulas not already cached.
     Each install counts as a recompute; the values must have been
-    computed against [db]'s current confidence vector. *)
+    computed against [db]'s current confidences. *)
 
 val sync : ?obs:Obs.t -> t -> db:Relational.Database.t -> unit
-(** Catch up with [db]'s confidence epoch vector now (also done when a
-    {!confidence} pricer is built): per shard, targeted invalidation when
-    that shard's change log covers the gap, a per-shard flush otherwise;
-    wholesale only across a shard-layout change. *)
-
-val synced_epochs : t -> int array
-(** The per-shard confidence epochs the cache last synced to (a copy);
-    [[||]] before the first {!sync}. *)
-
-val shard_sizes : t -> shards:int -> int array
-(** Per-shard count of indexed base tuples (tuples with live cached
-    classes mentioning them), bucketed by {!Relational.Database.shard_of}
-    under a [shards]-way layout — the [pcqe_shard_conf_cache_size]
-    gauge.  An upper bound per shard: a tuple's index entry lingers
-    until the tuple itself is dirtied. *)
+(** Catch up with [db]'s confidence epoch now (also done when a
+    {!confidence} pricer is built): targeted invalidation when the change
+    log covers the gap, a flush of every cached value (circuits kept)
+    otherwise. *)
 
 val length : t -> int
 

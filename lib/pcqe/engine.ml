@@ -95,6 +95,20 @@ let check_rbac ctx ~user plan =
       ~check:(fun p -> Rbac.Core_rbac.check ctx.rbac ~user p)
       plan
 
+(* The [ladder.<tier>] counter names, built once: pricing a row allocates
+   no name. *)
+let ladder_counter =
+  let open Lineage.Approx in
+  let name tier = "ladder." ^ tier_name tier in
+  let var = name Var and read_once = name Read_once and circuit = name Circuit
+  and obdd = name Obdd and monte_carlo = name Monte_carlo in
+  function
+  | Var -> var
+  | Read_once -> read_once
+  | Circuit -> circuit
+  | Obdd -> obdd
+  | Monte_carlo -> monte_carlo
+
 let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
   let obs = ctx.obs in
   Obs.span obs "answer" (fun () ->
@@ -138,9 +152,7 @@ let answer_common ctx ~check_access ~roles ~query ~purpose ~perc =
             (* rung accounting: one [ladder.<tier>] tick per class actually
                run through the ladder (cache hits don't re-count the rung
                that originally answered) *)
-            let on_tier tier =
-              Obs.incr obs ("ladder." ^ Lineage.Approx.tier_name tier)
-            in
+            let on_tier tier = Obs.incr obs (ladder_counter tier) in
             let price =
               match ctx.caches with
               | Some caches ->
@@ -415,32 +427,13 @@ module Session = struct
       (Caches.plans (caches t))
       ~db:t.ctx.db ~views:t.ctx.views query
 
-  (* serving-grade gauges: cache occupancy/counters and the per-shard
-     database state, refreshed after every served answer so a metrics export
-     always reflects the live serving state *)
+  (* serving-grade gauges: cache occupancy/counters, refreshed after every
+     served answer so a metrics export always reflects the live serving
+     state *)
   let export_gauges t =
-    let ctx = t.ctx in
-    match ctx.obs with
+    match t.ctx.obs with
     | None -> ()
-    | Some _ as obs ->
-      Caches.export_gauges (caches t) obs;
-      (* per-shard serving state: confidence epoch, owned tuples, and
-         conf-cache occupancy, labelled by shard number — one series per
-         shard in the OpenMetrics export *)
-      let shards = Db.shard_count ctx.db in
-      let epochs = Db.confidence_vector ctx.db in
-      let tuples = Db.shard_tuples ctx.db in
-      let cache_sizes =
-        Conf_cache.shard_sizes (Caches.conf (caches t)) ~shards
-      in
-      for i = 0 to shards - 1 do
-        let labelled name = Printf.sprintf "shard.%s{shard=\"%d\"}" name i in
-        Obs.set_gauge obs (labelled "epoch") (float_of_int epochs.(i));
-        Obs.set_gauge obs (labelled "tuples") (float_of_int tuples.(i));
-        Obs.set_gauge obs
-          (labelled "conf_cache_size")
-          (float_of_int cache_sizes.(i))
-      done
+    | Some _ as obs -> Caches.export_gauges (caches t) obs
 
   let answer t request =
     let obs = t.ctx.obs in
@@ -458,7 +451,7 @@ module Session = struct
      distinct query text, evaluates it once, and computes every distinct
      uncached lineage class — in parallel over the {!Exec} pool when
      [ctx.jobs > 1].  Per-class confidence is a pure function of the
-     formula and the confidence vector (Monte-Carlo seeds derive from the
+     formula and the confidences (Monte-Carlo seeds derive from the
      formula hash), so the parallel computation is deterministic and the
      single-threaded answers below read bit-identical values; the caches
      themselves are only written from this orchestrator thread. *)
@@ -549,7 +542,7 @@ module Session = struct
         Obs.stitch fork (Array.map snd outs);
         Array.iter
           (fun ((_, rung), _) ->
-            Obs.incr obs ("ladder." ^ Lineage.Approx.tier_name rung))
+            Obs.incr obs (ladder_counter rung))
           outs;
         let values = Array.map (fun ((fv, _), _) -> fv) outs in
         Conf_cache.warm ?obs conf ~db:ctx.db (Array.to_list values);

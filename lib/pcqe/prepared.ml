@@ -4,12 +4,9 @@ type t = {
   key : string;
   plan : Relational.Algebra.t;
   base_relations : string list;
-  structural_vector : int array;
-      (* composite per-shard stamp: validity is vector equality, so a
-         re-partition (same contents, new shard layout) retires the
-         entry *)
+  structural_epoch : int;
   views_epoch : int;
-  mutable evaluated : (int array * Relational.Eval.annotated) option;
+  mutable evaluated : (int * Relational.Eval.annotated) option;
 }
 
 let ( let* ) = Result.bind
@@ -17,7 +14,6 @@ let key_of_query = Query.to_string
 let key t = t.key
 let plan t = t.plan
 let base_relations t = t.base_relations
-let structural_vector t = t.structural_vector
 let views_epoch t = t.views_epoch
 
 let compile ?obs ~db ~views query =
@@ -33,18 +29,18 @@ let compile ?obs ~db ~views query =
       key = key_of_query query;
       plan;
       base_relations = Relational.Algebra.base_relations plan;
-      structural_vector = Db.structural_vector db;
+      structural_epoch = Db.structural_epoch db;
       views_epoch = Relational.Views.epoch views;
       evaluated = None;
     }
 
 let valid t ~db ~views =
-  t.structural_vector = Db.structural_vector db
+  t.structural_epoch = Db.structural_epoch db
   && t.views_epoch = Relational.Views.epoch views
 
 let eval ?obs t ~db =
   match t.evaluated with
-  | Some (vec, res) when vec = Db.structural_vector db ->
+  | Some (epoch, res) when epoch = Db.structural_epoch db ->
     Obs.incr obs "serving.eval_reused";
     Ok res
   | _ ->
@@ -52,5 +48,5 @@ let eval ?obs t ~db =
        rest falls back to the row engine (bit-identical results on every
        path) *)
     let* res = Relational.Col_eval.run db t.plan in
-    t.evaluated <- Some (Db.structural_vector db, res);
+    t.evaluated <- Some (Db.structural_epoch db, res);
     Ok res

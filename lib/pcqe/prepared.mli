@@ -3,12 +3,12 @@
 
     Everything up to (and including) lineage-carrying evaluation depends
     only on the query text, the view store, and the database contents —
-    never on the requesting principal or the current confidence vector.
+    never on the requesting principal or the current confidences.
     A [Prepared.t] captures that prefix: parse → view expansion →
     rewrite, stamped with the epochs it was compiled against
-    ({!Relational.Database.structural_vector},
+    ({!Relational.Database.structural_epoch},
     {!Relational.Views.epoch}), plus a one-slot cache of the evaluated
-    annotated result keyed by structural vector.
+    annotated result keyed by structural epoch.
 
     Validity is stamp {e equality}: any schema/tuple mutation or any
     view (re)definition yields fresh stamps and silently retires the
@@ -39,17 +39,10 @@ val plan : t -> Relational.Algebra.t
 val base_relations : t -> string list
 (** Base relations of the final plan — what RBAC checks per principal. *)
 
-val structural_vector : t -> int array
-(** The per-shard structural epoch vector pinned at compile time
-    ({!Relational.Database.structural_vector}).  Validity and the
-    evaluation memo key on this composite stamp: a shard re-partition
-    retires the entry even though contents never moved, while an insert
-    into one shard retires it through that shard's slot alone. *)
-
 val views_epoch : t -> int
 
 val valid : t -> db:Relational.Database.t -> views:Relational.Views.t -> bool
-(** [true] iff the structural vector and the views stamp still match —
+(** [true] iff the structural epoch and the views stamp still match —
     the plan (and any cached evaluation) may be reused against this
     database and view store. *)
 
@@ -60,6 +53,6 @@ val eval :
   (Relational.Eval.annotated, string) result
 (** Evaluate the plan through the hybrid columnar evaluator
     ({!Relational.Col_eval}), reusing the cached annotated result when
-    the database's structural vector still matches (counted as
-    [serving.eval_reused]).  The cache holds one vector: a structural
+    the database's structural epoch still matches (counted as
+    [serving.eval_reused]).  The cache holds one epoch: a structural
     mutation re-evaluates and replaces it. *)

@@ -59,9 +59,6 @@ let help_text =
   \prepare <name> <sql>  compile a named query once (plan cache)
   \exec <name>        answer a prepared query under the current settings
   \caches             show serving-cache statistics (plans + confidences)
-  \shards [n]         show per-shard epochs, tuples and cache occupancy;
-                      with n, hash-repartition the database across n
-                      shards (pure routing: answers are unchanged)
   \faults <seed> <site>[,<site>...] [max]  arm a seeded fault-injection
                       plan (rate 0.05) over the named sites, optionally
                       capped at <max> injections; \faults shows the armed
@@ -260,38 +257,6 @@ let meta t line =
     match t.ctx.Engine.caches with
     | Some caches -> Reply (t, String.trim (Caches.stats_to_string caches))
     | None -> Reply (t, "serving caches are off"))
-  | [ "\\shards" ] ->
-    let db = t.ctx.Engine.db in
-    let shards = Db.shard_count db in
-    let sv = Db.structural_vector db and cv = Db.confidence_vector db in
-    let tuples = Db.shard_tuples db in
-    let cache_sizes =
-      Option.map
-        (fun caches -> Conf_cache.shard_sizes (Caches.conf caches) ~shards)
-        t.ctx.Engine.caches
-    in
-    let lines =
-      Printf.sprintf "%d shard(s):" shards
-      :: List.init shards (fun i ->
-             Printf.sprintf
-               "  shard %d: tuples %-6d structural %-6d confidence %-6d%s" i
-               tuples.(i) sv.(i) cv.(i)
-               (match cache_sizes with
-               | Some s -> Printf.sprintf " conf-cache %d" s.(i)
-               | None -> ""))
-    in
-    Reply (t, String.concat "\n" lines)
-  | [ "\\shards"; n ] -> (
-    match int_of_string_opt n with
-    | Some n when n >= 1 ->
-      Reply
-        ( {
-            t with
-            ctx = { t.ctx with Engine.db = Db.with_shards t.ctx.Engine.db n };
-          },
-          Printf.sprintf
-            "repartitioned into %d shard(s); answers are unchanged" n )
-    | _ -> Reply (t, Printf.sprintf "bad shard count %S (need >= 1)" n))
   | [ "\\faults"; "off" ] ->
     Resilience.Fault.disarm ();
     Reply

@@ -442,12 +442,12 @@ let select b (preds : pred list) =
 (* Scan-batch cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Keyed by (relation name, structural vector): the vector moves on every
-   row-set change of any shard, and stamps are process-globally unique,
-   so a key can never alias a different row set.  A batch holds no
+(* Keyed by (relation name, structural epoch): the epoch moves on every
+   row-set change, and stamps are process-globally unique, so a key can
+   never alias a different row set.  A batch holds no
    confidences, so confidence writes leave every entry valid.  [None]:
    the relation declined. *)
-let cache : (string * int array, Colbatch.t option) Hashtbl.t =
+let cache : (string * int, Colbatch.t option) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_mutex = Mutex.create ()
@@ -457,7 +457,7 @@ let scan_batch db name =
   match Database.relation db name with
   | None -> None
   | Some r ->
-    let key = (Relation.name r, Database.structural_vector db) in
+    let key = (Relation.name r, Database.structural_epoch db) in
     Mutex.protect cache_mutex (fun () ->
         match Hashtbl.find_opt cache key with
         | Some batch -> batch

@@ -50,9 +50,8 @@ val load_string_bulk :
     for any jobs count.  On malformed input the reported error is the
     one {!load_into} would give (lowest line number wins).  Registration
     goes through {!Database.bulk_load}: one structural and one
-    confidence epoch bump for the whole load instead of per row; on a
-    sharded database each touched shard gets its own stamp and one
-    truthful change-log entry listing the tuples it owns. *)
+    confidence epoch bump for the whole load instead of per row, with one
+    truthful change-log entry listing every loaded tuple. *)
 
 val load_file_bulk :
   Database.t ->

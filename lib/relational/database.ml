@@ -2,28 +2,10 @@ module Tid = Lineage.Tid
 module StrMap = Map.Make (String)
 module IntMap = Map.Make (Int)
 
-(* Each shard's confidence change log is bounded: callers that fall
-   behind a shard by more than this many mutations get [None] from
-   [shard_changed_since] and must invalidate that shard wholesale.  The
-   capacity applies independently to each shard's log, which is why a
-   multi-shard database keeps targeted invalidation alive under write
-   volumes that overflow a single log. *)
+(* The confidence change log is bounded: a caller that falls behind by
+   more than this many mutations gets [None] from [changed_since] and must
+   invalidate wholesale. *)
 let log_capacity = 256
-
-(* Per-shard epoch state, the database's only epoch mechanism.  Every
-   shard owns its own structural/confidence stamp pair plus a bounded
-   change log restricted to the tuples it owns; stamps come from the
-   process-global {!Epoch} counter, so equality is exact version
-   identity.  The log is a persistent map keyed by stamp, so a write
-   adds one binding and, once the log is full, drops the oldest one:
-   O(log capacity) instead of a copy of the whole log. *)
-type shard = {
-  sh_structural : int;
-  sh_confidence : int;
-  sh_log : Tid.t list IntMap.t; (* stamp -> shard-owned tids changed at it *)
-  sh_log_n : int; (* [IntMap.cardinal sh_log] *)
-  sh_floor : int; (* largest stamp dropped from [sh_log]; 0 = none *)
-}
 
 (* Dense confidence storage.  Each relation's confidences and caps are
    columns indexed by [Tid.row]: an immutable array plus a persistent
@@ -44,7 +26,6 @@ type column = {
 
 type store = {
   rows : int; (* rows [0, rows) are stored: the relation's [next_row] *)
-  owned : int array; (* stored rows per owning shard, one slot per shard *)
   conf : column; (* default 0.0 *)
   cap : column; (* default 1.0 *)
 }
@@ -79,156 +60,69 @@ let write col ~default ~rows row p =
     column_of base
   end
 
+(* The database's one epoch mechanism: a structural/confidence stamp pair
+   plus a bounded change log.  Stamps come from the process-global
+   {!Epoch} counter, so equality is exact version identity.  The log is a
+   persistent map keyed by stamp, so a write adds one binding and, once
+   the log is full, drops the oldest one: O(log capacity) instead of a
+   copy of the whole log. *)
 type t = {
   relations : Relation.t StrMap.t;
   stores : store StrMap.t; (* one per relation, same keys *)
-  shards : shard array; (* length >= 1; length 1 = unsharded *)
+  structural : int;
+  confidence : int;
+  log : Tid.t list IntMap.t; (* stamp -> tids changed at it *)
+  log_n : int; (* [IntMap.cardinal log] *)
+  floor : int; (* largest stamp dropped from [log]; 0 = none *)
 }
 
-let empty_shard =
+let empty =
   {
-    sh_structural = 0;
-    sh_confidence = 0;
-    sh_log = IntMap.empty;
-    sh_log_n = 0;
-    sh_floor = 0;
+    relations = StrMap.empty;
+    stores = StrMap.empty;
+    structural = 0;
+    confidence = 0;
+    log = IntMap.empty;
+    log_n = 0;
+    floor = 0;
   }
 
-let empty =
-  { relations = StrMap.empty; stores = StrMap.empty; shards = [| empty_shard |] }
+let structural_epoch db = db.structural
+let confidence_epoch db = db.confidence
+let bump_structural db = { db with structural = Epoch.next () }
 
-let shard_count db = Array.length db.shards
+(* One stamp and one log entry (none when nothing changed); past
+   [log_capacity] entries the oldest is dropped and becomes the floor. *)
+let bump_confidence db = function
+  | [] -> db
+  | tids ->
+    let stamp = Epoch.next () in
+    let log = IntMap.add stamp tids db.log in
+    if db.log_n < log_capacity then
+      { db with confidence = stamp; log; log_n = db.log_n + 1 }
+    else
+      let dropped, _ = IntMap.min_binding log in
+      {
+        db with
+        confidence = stamp;
+        log = IntMap.remove dropped log;
+        floor = max dropped db.floor;
+      }
 
-(* Deterministic hash routing: a pure function of the tuple id and the
-   shard count, identical across processes and runs (no randomized
-   hashing), so a re-opened database routes every tuple to the same
-   shard. *)
-let route ~shards rel_hash row =
-  ((rel_hash lxor (row * 0x9e3779b1)) land max_int) mod shards
-
-let shard_of ~shards (tid : Tid.t) =
-  if shards <= 1 then 0 else route ~shards (Hashtbl.hash tid.rel) tid.row
-
-let shard_of_tid db tid = shard_of ~shards:(Array.length db.shards) tid
-let structural_vector db = Array.map (fun s -> s.sh_structural) db.shards
-let confidence_vector db = Array.map (fun s -> s.sh_confidence) db.shards
-
-(* Rows [0, rows) of relation [name], counted by owning shard. *)
-let count_owned ~shards name rows =
-  if shards = 1 then [| rows |]
-  else begin
-    let owned = Array.make shards 0 and h = Hashtbl.hash name in
-    for row = 0 to rows - 1 do
-      let i = route ~shards h row in
-      owned.(i) <- owned.(i) + 1
-    done;
-    owned
-  end
-
-let shard_tuples db =
-  let tuples = Array.make (Array.length db.shards) 0 in
-  StrMap.iter
-    (fun _ st -> Array.iteri (fun i n -> tuples.(i) <- tuples.(i) + n) st.owned)
-    db.stores;
-  tuples
-
-(* [only = Some i] stamps just the owning shard (a row landed there; the
-   other shards' rows are untouched, so their caches stay valid);
-   [None] stamps every shard (relation-level mutation). *)
-let bump_structural ?only db =
-  let shards =
-    Array.mapi
-      (fun i s ->
-        match only with
-        | Some j when j <> i -> s
-        | _ -> { s with sh_structural = Epoch.next () })
-      db.shards
-  in
-  { db with shards }
-
-(* One stamp and one log entry for the shard; past [log_capacity]
-   entries the oldest is dropped and becomes the floor. *)
-let push_log s tids =
-  let stamp = Epoch.next () in
-  let log = IntMap.add stamp tids s.sh_log in
-  if s.sh_log_n < log_capacity then
-    { s with sh_confidence = stamp; sh_log = log; sh_log_n = s.sh_log_n + 1 }
-  else
-    let dropped, _ = IntMap.min_binding log in
-    {
-      s with
-      sh_confidence = stamp;
-      sh_log = IntMap.remove dropped log;
-      sh_floor = max dropped s.sh_floor;
-    }
-
-(* Route the dirty tuples to their owning shards: each touched shard gets
-   its own stamp and one log entry listing only its tuples, so a
-   per-shard cache falling behind on shard [i] never pays for traffic
-   that only ever dirtied shard [j]. *)
-let bump_confidence db tids =
-  let count = Array.length db.shards in
-  let by_shard =
-    if count = 1 then [| tids |]
-    else begin
-      let by_shard = Array.make count [] in
-      List.iter
-        (fun tid ->
-          let i = shard_of ~shards:count tid in
-          by_shard.(i) <- tid :: by_shard.(i))
-        (List.rev tids);
-      by_shard
-    end
-  in
-  let shards =
-    Array.mapi
-      (fun i s -> match by_shard.(i) with [] -> s | tids -> push_log s tids)
-      db.shards
-  in
-  { db with shards }
-
-(* [since] must be a stamp the shard's logged history actually passed
-   through: the current epoch, a stamp recorded in the log, or the floor
-   (the last dropped stamp, or the shard's starting stamp).  A stamp from
-   a divergent history (a sibling copy mutated independently) is not
-   found, and the caller must invalidate wholesale. *)
-let shard_changed_since db ~shard ~since =
-  let s = db.shards.(shard) in
-  if since = s.sh_confidence then Some Tid.Set.empty
-  else if since = s.sh_floor || IntMap.mem since s.sh_log then
-    let _, _, newer = IntMap.split since s.sh_log in
+(* [since] must be a stamp the logged history actually passed through:
+   the current epoch, a stamp recorded in the log, or the floor (the last
+   dropped stamp).  A stamp from a divergent history (a sibling copy
+   mutated independently) is not found, and the caller must invalidate
+   wholesale. *)
+let changed_since db ~since =
+  if since = db.confidence then Some Tid.Set.empty
+  else if since = db.floor || IntMap.mem since db.log then
+    let _, _, newer = IntMap.split since db.log in
     Some
       (IntMap.fold
          (fun _ tids acc -> List.fold_left (Fun.flip Tid.Set.add) acc tids)
          newer Tid.Set.empty)
   else None
-
-let with_shards db n =
-  if n < 1 then
-    invalid_arg (Printf.sprintf "Database.with_shards: shard count %d < 1" n);
-  if n = Array.length db.shards then db
-  else
-    let shards =
-      Array.init n (fun _ ->
-          (* fresh shards carry no per-shard history: the floor equals the
-             starting confidence stamp, so any cache synced against the
-             old layout flushes wholesale instead of trusting a log that
-             never saw the re-partition *)
-          let sc = Epoch.next () in
-          {
-            sh_structural = Epoch.next ();
-            sh_confidence = sc;
-            sh_log = IntMap.empty;
-            sh_log_n = 0;
-            sh_floor = sc;
-          })
-    in
-    let stores =
-      StrMap.mapi
-        (fun name st -> { st with owned = count_owned ~shards:n name st.rows })
-        db.stores
-    in
-    { db with shards; stores }
 
 (* ------------------------------------------------------------------ *)
 (* Relations and mutators                                              *)
@@ -240,18 +134,12 @@ let store_of db (tid : Tid.t) =
   | Some st when tid.row >= 0 && tid.row < st.rows -> Some st
   | _ -> None
 
-(* A fresh store for rows [0, rows) of relation [name]. *)
-let fresh_store db name ~rows conf =
-  {
-    rows;
-    owned = count_owned ~shards:(Array.length db.shards) name rows;
-    conf;
-    cap = no_column;
-  }
+(* A fresh store for rows [0, rows). *)
+let fresh_store ~rows conf = { rows; conf; cap = no_column }
 
 let add_relation db r =
   let name = Relation.name r in
-  let fresh = fresh_store db name ~rows:(Relation.next_row r) no_column in
+  let fresh = fresh_store ~rows:(Relation.next_row r) no_column in
   let db' =
     bump_structural
       {
@@ -288,18 +176,15 @@ let insert db rel_name vs ~conf =
   check_conf "confidence" conf;
   let r = relation_exn db rel_name in
   let r, tid = Relation.insert_values r vs in
-  let only = shard_of_tid db tid in
   let st = StrMap.find rel_name db.stores in
-  let owned = Array.copy st.owned in
-  owned.(only) <- owned.(only) + 1;
   let db =
     write_conf
       { db with relations = StrMap.add rel_name r db.relations }
       tid
-      { st with rows = Relation.next_row r; owned }
+      { st with rows = Relation.next_row r }
       conf
   in
-  (bump_confidence (bump_structural ~only db) [ tid ], tid)
+  (bump_confidence (bump_structural db) [ tid ], tid)
 
 let seed_confidence db tid p =
   check_conf "confidence" p;
@@ -321,15 +206,14 @@ let bulk_load db r confs =
   (* the relation's whole store is replaced: no confidence or cap of a
      previous relation of that name survives.  One structural and one
      confidence bump for the whole load (the per-tuple [insert] path
-     bumps both epochs per row); the change-log entries list every loaded
-     or dropped tuple, one entry per owning shard, so
-     [shard_changed_since] stays truthful when an existing relation is
-     replaced *)
+     bumps both epochs per row); the change-log entry lists every loaded
+     or dropped tuple, so [changed_since] stays truthful when an existing
+     relation is replaced *)
   let old_rows =
     match StrMap.find_opt name db.stores with Some st -> st.rows | None -> 0
   in
   let tids = List.init (max n old_rows) (Tid.make name) in
-  let store = fresh_store db name ~rows:n (column_of (Array.copy confs)) in
+  let store = fresh_store ~rows:n (column_of (Array.copy confs)) in
   bump_confidence
     (bump_structural
        {

@@ -18,74 +18,41 @@ type t
 
 val empty : t
 
-(** {1 Shards and epochs}
+(** {1 Epochs}
 
-    A database is horizontally partitioned into [N >= 1] shards by a
-    deterministic hash of each tuple id ({!shard_of}); [N = 1] (the
-    default everywhere) is the unsharded database.  Partitioning is
-    logical only: relations are stored and evaluated whole, and a shard
-    is the set of tuple ids routed to it.
-
-    Each shard owns a pair of stamp counters (see {!Epoch}) that let
+    A database carries one pair of stamp counters (see {!Epoch}) that let
     cache layers distinguish "the plan is still valid" from "the
     confidences are still valid":
 
-    - the {e structural} epoch advances on schema/tuple mutation:
-      {!add_relation} and {!bulk_load} stamp every shard, {!insert} only
-      the shard owning the new row.  Cached plans and cached evaluation
-      results key on the {!structural_vector};
+    - the {e structural} epoch advances on schema/tuple mutation
+      ({!add_relation}, {!bulk_load}, {!insert}).  Cached plans and cached
+      evaluation results key on the {!structural_epoch};
     - the {e confidence} epoch advances on confidence/cap mutation
       ({!insert}, {!seed_confidence}, {!set_confidence},
-      {!set_confidence_cap}, {!apply_increments}, replacing a relation),
-      and only on the shards owning a touched tuple.  Cached confidences
-      revalidate against the {!confidence_vector}, one slot at a time.
+      {!set_confidence_cap}, {!apply_increments}, replacing a relation).
+      Cached confidences revalidate against the {!confidence_epoch}.
 
-    Each shard also keeps a bounded change log of the tuples it owns,
-    so one principal's confidence bump on shard [i] never moves shard
-    [j]'s epochs and per-shard caches skip invalidation for foreign
-    traffic.  Stamps are process-globally unique: equality with a cached
-    stamp proves the cached snapshot is this exact version. *)
+    A bounded change log records which tuples each confidence stamp
+    touched, so a cache that fell behind invalidates only the classes
+    whose lineage mentions a changed tuple.  Stamps are process-globally
+    unique: equality with a cached stamp proves the cached snapshot is
+    this exact version. *)
 
-val with_shards : t -> int -> t
-(** [with_shards db n] re-partitions [db] over [n] shards.  Contents are
-    unchanged — answers, lineage, and solver outcomes are identical at
-    any shard count — but every shard receives fresh epoch stamps and an
-    empty change log whose floor blocks reuse, so caches pinned against
-    the old layout revalidate from scratch.
-    @raise Invalid_argument when [n < 1]. *)
+val structural_epoch : t -> int
+(** The stamp prepared queries and scan batches pin: equality proves the
+    row sets did not move. *)
 
-val shard_count : t -> int
+val confidence_epoch : t -> int
+(** The stamp confidence caches revalidate against. *)
 
-val shard_of : shards:int -> Lineage.Tid.t -> int
-(** Pure deterministic routing: the shard owning a tuple id under a
-    given shard count.  Stable across runs and processes. *)
-
-val shard_of_tid : t -> Lineage.Tid.t -> int
-(** [shard_of ~shards:(shard_count db)]. *)
-
-val structural_vector : t -> int array
-(** Per-shard structural epochs, index-aligned with shard numbers.  The
-    composite stamp prepared queries and scan batches pin: equality (as
-    a vector) proves no shard's row set moved. *)
-
-val confidence_vector : t -> int array
-(** Per-shard confidence epochs — the composite stamp confidence caches
-    revalidate against, one slot at a time. *)
-
-val shard_changed_since :
-  t -> shard:int -> since:int -> Lineage.Tid.Set.t option
-(** [shard_changed_since db ~shard ~since] is the set of tuples owned by
-    [shard] whose confidence (or cap) changed after that shard's
-    confidence epoch [since] — the targeted invalidation set for a cache
-    synced at [since].  [None] when the answer is unknowable and the
-    caller must flush wholesale {e that shard's classes only}: [since]
-    is older than the shard's bounded change log (256 entries) reaches,
-    or is not a stamp of this database's history (a divergent sibling
-    copy).  [Some Tid.Set.empty] iff the shard is already current. *)
-
-val shard_tuples : t -> int array
-(** Per-shard stored-row counts (across all relations) — the
-    [pcqe_shard_tuples] gauge. *)
+val changed_since : t -> since:int -> Lineage.Tid.Set.t option
+(** [changed_since db ~since] is the set of tuples whose confidence (or
+    cap) changed after the confidence epoch [since] — the targeted
+    invalidation set for a cache synced at [since].  [None] when the
+    answer is unknowable and the caller must flush wholesale: [since] is
+    older than the bounded change log (256 entries) reaches, or is not a
+    stamp of this database's history (a divergent sibling copy).
+    [Some Tid.Set.empty] iff [since] is current. *)
 
 val add_relation : t -> Relation.t -> t
 (** [add_relation db r] adds or replaces the relation named
@@ -122,8 +89,8 @@ val bulk_load : t -> Relation.t -> float array -> t
     in O(n); the relation's confidences and caps are replaced wholesale,
     so nothing of a replaced relation survives.  Advances the structural
     and confidence epochs {e once} each instead of per tuple; the
-    change-log entries list every loaded tuple and every dropped one, so
-    {!shard_changed_since} remains truthful when an existing relation is
+    change-log entry lists every loaded tuple and every dropped one, so
+    {!changed_since} remains truthful when an existing relation is
     replaced.
     @raise Invalid_argument if [Array.length confs] differs from
     [Relation.next_row r] or any confidence is outside [\[0,1\]]. *)

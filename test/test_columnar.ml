@@ -385,21 +385,6 @@ let test_scan_cache_epochs () =
   let db1 = Db.set_confidence db tid 0.8 in
   let b2 = Option.get (Col.scan_batch db1 "t") in
   Alcotest.(check bool) "batch reused across confidence change" true (b1 == b2);
-  (* two shards: a write that moves only slot 1 keeps the batch *)
-  let db2 =
-    List.fold_left
-      (fun db i -> fst (Db.insert db "t" [ V.Int i ] ~conf:0.5))
-      db1 (List.init 8 (fun i -> i + 2))
-  in
-  let db2 = Db.with_shards db2 2 in
-  let on_shard_1 =
-    List.find
-      (fun t -> Db.shard_of ~shards:2 t = 1)
-      (List.init 9 (Lineage.Tid.make "t"))
-  in
-  let b4 = Option.get (Col.scan_batch db2 "t") in
-  let db2' = Db.set_confidence db2 on_shard_1 0.3 in
-  Alcotest.(check bool) "same batch" true (b4 == Option.get (Col.scan_batch db2' "t"));
   (* structural mutation: fresh batch *)
   let db = fst (Db.insert db1 "t" [ V.Int 2 ] ~conf:0.1) in
   let b3 = Option.get (Col.scan_batch db "t") in
@@ -414,7 +399,7 @@ let test_bulk_epochs () =
   Alcotest.(check (float 0.0)) "conf 1" 0.75 (Db.confidence db (Lineage.Tid.make "r" 1));
   (* the single bulk change-log entry stays truthful: both loaded tuples
      appear in the targeted invalidation set for a cache synced before *)
-  (match Db.shard_changed_since db ~shard:0 ~since:(Db.confidence_vector db0).(0) with
+  (match Db.changed_since db ~since:(Db.confidence_epoch db0) with
   | Some set -> Alcotest.(check int) "both tids logged" 2 (Lineage.Tid.Set.cardinal set)
   | None -> Alcotest.fail "changed_since lost the bulk load")
 

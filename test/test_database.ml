@@ -10,11 +10,6 @@ let schema = S.of_list [ ("x", V.TInt) ]
 
 let db_with_r () = Db.add_relation Db.empty (R.create "R" schema)
 
-(* the one slot of an unsharded database's epoch vectors *)
-let structural_epoch db = (Db.structural_vector db).(0)
-let confidence_epoch db = (Db.confidence_vector db).(0)
-let changed_since db ~since = Db.shard_changed_since db ~shard:0 ~since
-
 let test_relation_registry () =
   let db = db_with_r () in
   Alcotest.(check bool) "mem" true (Db.mem_relation db "R");
@@ -122,20 +117,20 @@ let test_all_confidences () =
    change per raised tuple (so changed_since can answer exactly) *)
 let test_epochs_advance_independently () =
   let db = db_with_r () in
-  let se0 = structural_epoch db and ce0 = confidence_epoch db in
+  let se0 = Db.structural_epoch db and ce0 = Db.confidence_epoch db in
   let db, t0 = Db.insert db "R" [ V.Int 1 ] ~conf:0.2 in
   let db, t1 = Db.insert db "R" [ V.Int 2 ] ~conf:0.3 in
   Alcotest.(check bool) "insert bumps structural" true
-    (structural_epoch db > se0);
+    (Db.structural_epoch db > se0);
   Alcotest.(check bool) "insert bumps confidence" true
-    (confidence_epoch db > ce0);
-  let se1 = structural_epoch db and ce1 = confidence_epoch db in
+    (Db.confidence_epoch db > ce0);
+  let se1 = Db.structural_epoch db and ce1 = Db.confidence_epoch db in
   let db = Db.apply_increments db [ (t0, 0.5); (t1, 0.6) ] in
   Alcotest.(check int) "increments leave structure" se1
-    (structural_epoch db);
+    (Db.structural_epoch db);
   Alcotest.(check bool) "increments bump confidence" true
-    (confidence_epoch db > ce1);
-  match changed_since db ~since:ce1 with
+    (Db.confidence_epoch db > ce1);
+  match Db.changed_since db ~since:ce1 with
   | Some dirty ->
     Alcotest.(check int) "both raised tuples logged" 2
       (Lineage.Tid.Set.cardinal dirty)
@@ -166,7 +161,7 @@ let test_replace_drops_confidences () =
   Alcotest.(check bool) "dropped row rejects writes" true
     (rejects (fun () -> Db.set_confidence db1 (Tid.make "R" 2) 0.9));
   Alcotest.(check int) "one entry" 1 (List.length (Db.all_confidences db1));
-  (match changed_since db1 ~since:(confidence_epoch db3) with
+  (match Db.changed_since db1 ~since:(Db.confidence_epoch db3) with
   | Some dirty ->
     Alcotest.(check int) "loaded and dropped rows logged" 3
       (Tid.Set.cardinal dirty)
@@ -180,7 +175,7 @@ let test_replace_drops_confidences () =
     "add_relation replaces too" [ ("R#0", 0.0) ]
     (List.map (fun (t, c) -> (Tid.to_string t, c)) (Db.all_confidences db));
   Alcotest.(check bool) "replacement bumps confidence" true
-    (confidence_epoch db > confidence_epoch db3)
+    (Db.confidence_epoch db > Db.confidence_epoch db3)
 
 (* row ids from input (a caps.txt line) must never size storage: writes
    far past the stored rows are rejected without allocating in proportion
@@ -237,19 +232,19 @@ let test_foreign_row_ids_fail_closed () =
    ago still gets its dirty set, one write more and it must flush *)
 let test_change_log_boundary () =
   let db = load_r Db.empty "x:int,__confidence:real\n1,0.5\n2,0.6\n" in
-  let since = confidence_epoch db in
+  let since = Db.confidence_epoch db in
   let write db i = Db.set_confidence db (Tid.make "R" (i mod 2)) (float i /. 1000.0) in
   let db = List.fold_left write db (List.init 256 succ) in
   Alcotest.(check (option (list string))) "256 writes after since -> Some"
     (Some [ "R#0"; "R#1" ])
     (Option.map
        (fun dirty -> List.map Tid.to_string (Tid.Set.elements dirty))
-       (changed_since db ~since));
+       (Db.changed_since db ~since));
   let db = write db 257 in
-  Alcotest.(check bool) "257th write -> None" true (changed_since db ~since = None);
-  let recent = confidence_epoch db in
+  Alcotest.(check bool) "257th write -> None" true (Db.changed_since db ~since = None);
+  let recent = Db.confidence_epoch db in
   Alcotest.(check bool) "a recent stamp still answers" true
-    (changed_since (write db 258) ~since:recent = Some (Tid.Set.singleton (Tid.make "R" 0)))
+    (Db.changed_since (write db 258) ~since:recent = Some (Tid.Set.singleton (Tid.make "R" 0)))
 
 (* a write to a full log adds one entry and drops one: O(log 256) words,
    not a copy of the 256-entry log.  1,000 such writes allocate about

@@ -808,10 +808,9 @@ let test_server_token_is_per_principal () =
           Alcotest.(check bool) "u1's token still works for u1" true (accept "u1" t1);
           Alcotest.(check bool) "single use" false (accept "u0" t0)))
 
-(* the shard gauges read the server's one confidence cache *)
-let test_server_shard_gauges_from_one_cache () =
+(* the cache gauges read the server's one confidence cache *)
+let test_server_gauges_read_one_cache () =
   let ctx = build_entangled_ctx () in
-  let ctx = { ctx with E.db = Db.with_shards ctx.E.db 4 } in
   let obs = Obs.create () in
   with_server ~obs ctx (fun server ->
       let client = Net.Client.create ~seed:25 (Net.Server.address server) in
@@ -821,17 +820,12 @@ let test_server_shard_gauges_from_one_cache () =
           List.iter
             (fun (user, sql) -> ignore (wire_answer client ~user ~perc:0.3 sql))
             [ ("u0", entangled_sql); ("u1", entangled_sql2); ("v0", entangled_sql) ]);
-      Net.Server.refresh_shard_gauges server;
-      let want =
-        Pcqe.Conf_cache.shard_sizes (Pcqe.Caches.conf (Net.Server.caches server)) ~shards:4
-      in
-      Alcotest.(check bool) "the cache holds classes" true (Array.exists (fun n -> n > 0) want);
-      Array.iteri
-        (fun i n ->
-          let g = Printf.sprintf "shard.conf_cache_size{shard=\"%d\"}" i in
-          Alcotest.(check (option (float 0.0))) g (Some (float_of_int n))
-            (Obs.Metrics.gauge obs.Obs.metrics g))
-        want)
+      Net.Server.refresh_gauges server;
+      let want = Pcqe.Conf_cache.length (Pcqe.Caches.conf (Net.Server.caches server)) in
+      Alcotest.(check bool) "the cache holds classes" true (want > 0);
+      Alcotest.(check (option (float 0.0))) "cache.conf.entries"
+        (Some (float_of_int want))
+        (Obs.Metrics.gauge obs.Obs.metrics "cache.conf.entries"))
 
 (* ------------------------------------------------------------------ *)
 (* admission: shedding and queue-expired timeouts *)
@@ -1165,8 +1159,8 @@ let () =
             test_server_rbac_on_cached_plan;
           Alcotest.test_case "token is per principal" `Quick
             test_server_token_is_per_principal;
-          Alcotest.test_case "shard gauges from one cache" `Quick
-            test_server_shard_gauges_from_one_cache;
+          Alcotest.test_case "gauges read the server's one cache" `Quick
+            test_server_gauges_read_one_cache;
           Alcotest.test_case "sheds under overload" `Quick
             test_server_sheds_under_overload;
           Alcotest.test_case "queue deadline timeout" `Quick

@@ -1,6 +1,6 @@
 (* Determinism contract of the parallel hot paths: divide-and-conquer
-   group solving, Monte-Carlo confidence, and synthetic-workload
-   generation must be bit-identical at every jobs level. *)
+   group solving and synthetic-workload generation must be bit-identical
+   at every jobs level. *)
 
 module D = Optimize.Divide_conquer
 module Problem = Optimize.Problem
@@ -44,24 +44,6 @@ let qcheck_dnc_jobs_invariant pools =
       let reference = solve None in
       List.for_all (fun p -> solve (Some p) = reference) pools)
 
-let qcheck_monte_carlo_jobs_invariant pools =
-  QCheck.Test.make ~name:"monte_carlo estimate identical at any jobs"
-    ~count:20
-    QCheck.(pair (int_range 0 1000) (int_range 1 30_000))
-    (fun (seed, samples) ->
-      let problem = problem_of_seed 17 in
-      let formula = (Problem.result problem 0).Problem.formula in
-      let p tid =
-        match Problem.bid_of_tid problem tid with
-        | Some bid -> (Problem.base problem bid).Problem.p0
-        | None -> 0.0
-      in
-      let estimate pool =
-        Lineage.Prob.monte_carlo ?pool (Sm.of_int seed) ~samples p formula
-      in
-      let reference = estimate None in
-      List.for_all (fun pl -> estimate (Some pl) = reference) pools)
-
 let qcheck_synth_jobs_invariant pools =
   QCheck.Test.make ~name:"Synth.instance identical at any jobs" ~count:5
     QCheck.(int_range 0 1000)
@@ -89,8 +71,6 @@ let () =
           ( "determinism",
             [
               QCheck_alcotest.to_alcotest (qcheck_dnc_jobs_invariant pools);
-              QCheck_alcotest.to_alcotest
-                (qcheck_monte_carlo_jobs_invariant pools);
               QCheck_alcotest.to_alcotest (qcheck_synth_jobs_invariant pools);
             ] );
         ])

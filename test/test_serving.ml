@@ -23,42 +23,37 @@ let ok = function Ok x -> x | Error m -> Alcotest.failf "unexpected: %s" m
 (* ------------------------------------------------------------------ *)
 (* database epochs *)
 
-(* the one slot of an unsharded database's epoch vectors *)
-let structural_epoch db = (Db.structural_vector db).(0)
-let confidence_epoch db = (Db.confidence_vector db).(0)
-let changed_since db ~since = Db.shard_changed_since db ~shard:0 ~since
-
 let test_epoch_split () =
   let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
   let db0 = Db.empty in
   let db1 = Db.add_relation db0 r in
   Alcotest.(check bool) "add_relation bumps structural" true
-    (structural_epoch db1 > structural_epoch db0);
+    (Db.structural_epoch db1 > Db.structural_epoch db0);
   Alcotest.(check int) "add_relation leaves confidence"
-    (confidence_epoch db0) (confidence_epoch db1);
+    (Db.confidence_epoch db0) (Db.confidence_epoch db1);
   let db2, tid = Db.insert db1 "R" [ V.Int 1 ] ~conf:0.5 in
   Alcotest.(check bool) "insert bumps structural" true
-    (structural_epoch db2 > structural_epoch db1);
+    (Db.structural_epoch db2 > Db.structural_epoch db1);
   Alcotest.(check bool) "insert bumps confidence" true
-    (confidence_epoch db2 > confidence_epoch db1);
+    (Db.confidence_epoch db2 > Db.confidence_epoch db1);
   let db3 = Db.set_confidence db2 tid 0.7 in
   Alcotest.(check int) "set_confidence leaves structural"
-    (structural_epoch db2) (structural_epoch db3);
+    (Db.structural_epoch db2) (Db.structural_epoch db3);
   Alcotest.(check bool) "set_confidence bumps confidence" true
-    (confidence_epoch db3 > confidence_epoch db2)
+    (Db.confidence_epoch db3 > Db.confidence_epoch db2)
 
 let test_changed_since () =
   let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
   let db = Db.add_relation Db.empty r in
   let db, t1 = Db.insert db "R" [ V.Int 1 ] ~conf:0.5 in
   let db, t2 = Db.insert db "R" [ V.Int 2 ] ~conf:0.5 in
-  let e0 = confidence_epoch db in
+  let e0 = Db.confidence_epoch db in
   Alcotest.(check bool) "current epoch -> empty set" true
-    (changed_since db ~since:e0 = Some Tid.Set.empty);
+    (Db.changed_since db ~since:e0 = Some Tid.Set.empty);
   let db' = Db.set_confidence db t1 0.6 in
   let db' = Db.set_confidence db' t2 0.7 in
   let db' = Db.set_confidence db' t1 0.8 in
-  (match changed_since db' ~since:e0 with
+  (match Db.changed_since db' ~since:e0 with
   | Some dirty ->
     Alcotest.(check (list string)) "dirty set is exactly {t1, t2}"
       (List.sort compare [ Tid.to_string t1; Tid.to_string t2 ])
@@ -67,13 +62,13 @@ let test_changed_since () =
   (* stamps from a divergent sibling history are rejected *)
   let sibling = Db.set_confidence db t1 0.9 in
   Alcotest.(check bool) "sibling stamp -> None" true
-    (changed_since db' ~since:(confidence_epoch sibling) = None)
+    (Db.changed_since db' ~since:(Db.confidence_epoch sibling) = None)
 
 let test_changed_since_truncation () =
   let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
   let db = Db.add_relation Db.empty r in
   let db, tid = Db.insert db "R" [ V.Int 1 ] ~conf:0.0 in
-  let e0 = confidence_epoch db in
+  let e0 = Db.confidence_epoch db in
   (* push the bounded change log past its capacity: the old stamp must
      answer None (wholesale flush), never a partial dirty set *)
   let db' = ref db in
@@ -81,12 +76,12 @@ let test_changed_since_truncation () =
     db' := Db.set_confidence !db' tid (float_of_int i /. 1000.0)
   done;
   Alcotest.(check bool) "overflowed gap -> None" true
-    (changed_since !db' ~since:e0 = None);
+    (Db.changed_since !db' ~since:e0 = None);
   (* a gap that still fits in the log is answered exactly *)
-  let e_recent = confidence_epoch !db' in
+  let e_recent = Db.confidence_epoch !db' in
   let db'' = Db.set_confidence !db' tid 0.99 in
   Alcotest.(check bool) "recent gap still answered" true
-    (changed_since db'' ~since:e_recent = Some (Tid.Set.singleton tid))
+    (Db.changed_since db'' ~since:e_recent = Some (Tid.Set.singleton tid))
 
 let test_views_epoch () =
   let v0 = Vw.empty in
@@ -99,6 +94,22 @@ let test_views_epoch () =
     (Vw.epoch v3);
   let v4 = Vw.remove v2 "A" in
   Alcotest.(check bool) "remove bumps" true (Vw.epoch v4 > Vw.epoch v2)
+
+(* a prepared plan pins the structural epoch: a confidence write keeps it
+   valid, an insert retires it *)
+let test_prepared_pins_epoch () =
+  let r = R.create "R" (S.of_list [ ("n", V.TInt) ]) in
+  let db, tid = Db.insert (Db.add_relation Db.empty r) "R" [ V.Int 1 ] ~conf:0.5 in
+  let views = Vw.empty in
+  let p =
+    ok (Pcqe.Prepared.compile ~db ~views (Pcqe.Query.sql "SELECT n FROM R"))
+  in
+  Alcotest.(check bool) "valid against the compiling db" true
+    (Pcqe.Prepared.valid p ~db ~views);
+  Alcotest.(check bool) "confidence write keeps it valid" true
+    (Pcqe.Prepared.valid p ~db:(Db.set_confidence db tid 0.9) ~views);
+  Alcotest.(check bool) "insert retires it" false
+    (Pcqe.Prepared.valid p ~db:(fst (Db.insert db "R" [ V.Int 2 ] ~conf:0.5)) ~views)
 
 (* ------------------------------------------------------------------ *)
 (* fixtures *)
@@ -495,6 +506,110 @@ let test_answer_latency_histogram () =
   | Some h -> Alcotest.(check int) "one observation per answer" 5 h.Obs.Metrics.count
   | None -> Alcotest.fail "serving.answer_s histogram missing"
 
+(* ------------------------------------------------------------------ *)
+(* change-log overflow: a session more than 256 confidence writes behind
+   drops its cached values, keeps its circuits and stays exact *)
+
+(* A session warmed over a self-join takes a flood of accepted raises,
+   more than the change log holds.  Its re-answer equals the cold engine
+   on the flooded data. *)
+let test_session_exact_after_flood () =
+  let r = R.create "R" (S.of_list [ ("k", V.TInt); ("n", V.TInt) ]) in
+  let rows = 48 in
+  let db =
+    List.fold_left
+      (fun db i ->
+        fst
+          (Db.insert db "R"
+             [ V.Int i; V.Int (i * 7 mod rows) ]
+             ~conf:(0.35 +. (0.6 *. float (i * 13 mod rows) /. float rows))))
+      (Db.add_relation Db.empty r) (List.init rows Fun.id)
+  in
+  let policies =
+    Rbac.Policy.of_list
+      [ Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta:0.6 ]
+  in
+  let ctx = E.make_context ~db ~rbac:(mk_rbac ()) ~policies () in
+  (* a self-join: its two-tuple classes are priced through the cache *)
+  let req =
+    request ~sql:"SELECT X.k FROM R AS X, R AS Y WHERE X.n = Y.k" ~perc:0.3 ()
+  in
+  let template =
+    match E.answer ctx { req with E.perc = 1.0 } with
+    | Ok { E.proposal = Some p; _ } -> p
+    | _ -> Alcotest.fail "expected a proposal to carry the flood"
+  in
+  let flood = List.init (rows / 2) (fun i -> Tid.make "R" (2 * i)) in
+  let rounds = 1 + (300 / List.length flood) in
+  let target k = 0.96 +. (0.0001 *. float k) in
+  let flooded =
+    Db.apply_increments db
+      (List.map (fun tid -> (tid, target (rounds - 1))) flood)
+  in
+  let cold = fingerprint (E.answer { ctx with E.db = flooded } req) in
+  let session = E.Session.create ctx in
+  Alcotest.(check bool) "warm == cold before the flood" true
+    (compare
+       (fingerprint (E.answer ctx req))
+       (fingerprint (E.Session.answer session req))
+    = 0);
+  let since = Db.confidence_epoch (E.Session.context session).E.db in
+  for k = 0 to rounds - 1 do
+    E.Session.accept_proposal session
+      { template with E.increments = List.map (fun tid -> (tid, target k)) flood }
+  done;
+  Alcotest.(check bool) "flood overflowed the change log" true
+    (Db.changed_since (E.Session.context session).E.db ~since = None);
+  Alcotest.(check bool) "post-flood answer == cold" true
+    (compare cold (fingerprint (E.Session.answer session req)) = 0)
+
+(* After a flood, an entangled class is re-priced from the circuit the
+   cache compiled before it: the flush drops values, not circuits. *)
+let test_flood_keeps_circuits () =
+  let r = R.create "R" (S.of_list [ ("k", V.TInt); ("n", V.TInt) ]) in
+  let db =
+    List.fold_left
+      (fun db i ->
+        fst (Db.insert (db : Db.t) "R" [ V.Int (i mod 2); V.Int i ] ~conf:0.3))
+      (Db.add_relation Db.empty r) (List.init 6 Fun.id)
+  in
+  let policies =
+    Rbac.Policy.of_list
+      [ Rbac.Policy.make ~role:"analyst" ~purpose:"task" ~beta:0.9 ]
+  in
+  (* DISTINCT over a self-join: priced by the circuit rung *)
+  let req =
+    request ~sql:"SELECT DISTINCT X.k FROM R AS X, R AS Y WHERE X.n < Y.n"
+      ~perc:0.0 ()
+  in
+  let obs = Obs.deterministic () in
+  let ctx = E.make_context ~obs ~db ~rbac:(mk_rbac ()) ~policies () in
+  let session = E.Session.create ctx in
+  ignore (ok (E.Session.answer session req));
+  let counter name = Obs.Metrics.counter obs.Obs.metrics name in
+  let built = counter "ladder.circuit_build" in
+  let reeval = counter "ladder.circuit_reeval" in
+  Alcotest.(check bool) "circuits built" true (built > 0);
+  let flooded = ref db in
+  for i = 1 to 300 do
+    flooded :=
+      Db.set_confidence !flooded
+        (Tid.make "R" (i mod 6))
+        (0.3 +. (0.6 *. float i /. 300.0))
+  done;
+  Alcotest.(check bool) "flood overflowed the change log" true
+    (Db.changed_since !flooded ~since:(Db.confidence_epoch db) = None);
+  E.Session.set_context session
+    { (E.Session.context session) with E.db = !flooded };
+  let warm = fingerprint (E.Session.answer session req) in
+  Alcotest.(check int) "no circuit rebuilt" built (counter "ladder.circuit_build");
+  Alcotest.(check int) "every circuit re-evaluated" built
+    (counter "ladder.circuit_reeval" - reeval);
+  Alcotest.(check bool) "post-flood answer == cold" true
+    (compare warm
+       (fingerprint (E.answer { ctx with E.db = !flooded; obs = None } req))
+    = 0)
+
 let () =
   Alcotest.run "serving"
     [
@@ -505,6 +620,8 @@ let () =
           Alcotest.test_case "changed_since truncation" `Quick
             test_changed_since_truncation;
           Alcotest.test_case "views epoch" `Quick test_views_epoch;
+          Alcotest.test_case "prepared pins the epoch" `Quick
+            test_prepared_pins_epoch;
         ] );
       ( "plan-cache",
         [
@@ -527,5 +644,12 @@ let () =
             test_batch_across_principals;
           Alcotest.test_case "answer latency histogram" `Quick
             test_answer_latency_histogram;
+        ] );
+      ( "conf-cache",
+        [
+          Alcotest.test_case "session exact after a flood" `Quick
+            test_session_exact_after_flood;
+          Alcotest.test_case "flood keeps circuits" `Quick
+            test_flood_keeps_circuits;
         ] );
     ]
